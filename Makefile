@@ -4,7 +4,7 @@ GO ?= go
 BENCH_OUT ?= BENCH_2.json
 BENCH_BASELINE ?=
 
-.PHONY: all build vet vet-shadow test race race-server serve-smoke store-smoke cluster-smoke membership-smoke bench-smoke bench-json bench-incr bench-columnar bench-columnar-smoke bench-enum bench-enum-smoke bench-store bench-store-smoke bench-cluster bench-cluster-smoke ci
+.PHONY: all build vet vet-shadow test race race-server dxbench-test serve-smoke store-smoke cluster-smoke membership-smoke bench-smoke bench-json bench-incr bench-columnar bench-columnar-smoke bench-enum bench-enum-smoke bench-store bench-store-smoke bench-cluster bench-cluster-smoke ci
 
 all: build
 
@@ -39,6 +39,14 @@ race:
 # enumeration workload.
 race-server:
 	$(GO) test -race -count=1 ./internal/server/... ./internal/status/... ./internal/metrics/...
+
+# dxbench is a separate module (dxbench/go.mod), so `go test ./...` at the
+# root skips it, yet its oracle and counter-repeat tests exercise
+# internal/certain and the server. Run its vet and race-enabled tests here.
+# Not yet in ci: TestQueryMissCountersRepeat still requires rep_visited > 0
+# on query-miss, a counter its pure UCQs no longer move (see ROADMAP.md).
+dxbench-test:
+	cd dxbench && GOWORK=off $(GO) vet . && GOWORK=off $(GO) test -race -count=1 .
 
 # Start dxserver on a loopback port, fire a scripted request burst through
 # the Go client (register, chase, core, certain twice to hit the result

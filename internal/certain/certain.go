@@ -6,12 +6,13 @@
 //	maybe⊓(Q,S)  = ∩_T ◇Q(T)    maybe⊔(Q,S)  = ∪_T ◇Q(T)
 //
 // with T ranging over the CWA-solutions for S. Each semantics is available
-// both by definition (enumerating CWA-solutions — exponential, used for
-// cross-checks) and through the Theorem 7.1 characterisations via the core
-// and the canonical solution. Lemma 7.7's polynomial fast path for unions
-// of conjunctive queries and the Fagin-et-al.-style fixpoint algorithm for
-// UCQs with at most one inequality per disjunct (Table 1, egd-only row) are
-// implemented as well.
+// by definition (enumerating CWA-solutions — exponential, used for
+// cross-checks) and through a planner (plan.go) that picks, per query class,
+// setting class and semantics, the cheapest method Table 1 and Theorem 7.1
+// allow: Lemma 7.7's naive evaluation for unions of conjunctive queries, the
+// Fagin-et-al.-style fixpoint for UCQs with at most one inequality per
+// disjunct (egd-only row), a single evaluation on a null-free chase result,
+// and Box or Diamond over the core or the canonical solution.
 package certain
 
 import (
@@ -91,8 +92,8 @@ func valuationBase(s *dependency.Setting, t *instance.Instance, q query.Evaluabl
 	for _, v := range query.Constants(q) {
 		add(v)
 	}
-	for _, d := range s.TGDs {
-		for _, a := range append(append([]query.Atom{}, d.BodyAtoms...), d.Head...) {
+	addAtoms := func(atoms []query.Atom) {
+		for _, a := range atoms {
 			for _, tm := range a.Terms {
 				if !tm.IsVar() {
 					add(tm.Val)
@@ -100,14 +101,12 @@ func valuationBase(s *dependency.Setting, t *instance.Instance, q query.Evaluabl
 			}
 		}
 	}
+	for _, d := range s.TGDs {
+		addAtoms(d.BodyAtoms)
+		addAtoms(d.Head)
+	}
 	for _, d := range s.EGDs {
-		for _, a := range d.Body {
-			for _, tm := range a.Terms {
-				if !tm.IsVar() {
-					add(tm.Val)
-				}
-			}
-		}
+		addAtoms(d.Body)
 	}
 	return out
 }
@@ -185,10 +184,15 @@ func forEachRep(s *dependency.Setting, t *instance.Instance, q query.Evaluable, 
 	if len(nulls) > opt.maxNulls() {
 		return fmt.Errorf("%w: %d nulls", ErrTooManyNulls, len(nulls))
 	}
+	fresh := make([]instance.Value, len(nulls))
+	for i := range fresh {
+		fresh[i] = freshConst(i)
+	}
 	w := &repWalker{
 		s:     s,
 		t:     t,
 		base:  valuationBase(s, t, q),
+		fresh: fresh,
 		nulls: nulls,
 		ctx:   opt.Chase.Ctx,
 		emit:  emit,
@@ -212,6 +216,7 @@ type repWalker struct {
 	s        *dependency.Setting
 	t        *instance.Instance
 	base     []instance.Value
+	fresh    []instance.Value // fresh[i] = freshConst(i), one per null
 	nulls    []instance.Value
 	ctx      context.Context
 	emit     func(*instance.Instance) bool
@@ -263,7 +268,7 @@ func (w *repWalker) walk(v map[instance.Value]instance.Value, i, freshUsed int) 
 		w.walk(v, i+1, freshUsed)
 	}
 	for j := 0; j <= freshUsed && !w.stopped(); j++ {
-		v[w.nulls[i]] = freshConst(j)
+		v[w.nulls[i]] = w.fresh[j]
 		next := freshUsed
 		if j == freshUsed {
 			next++
@@ -287,7 +292,7 @@ func (w *repWalker) parallel(workers int) {
 		branches = append(branches, branch{c, 0})
 	}
 	// nulls[0] can only take the first fresh constant (canonical order).
-	branches = append(branches, branch{freshConst(0), 1})
+	branches = append(branches, branch{w.fresh[0], 1})
 	if workers > len(branches) {
 		workers = len(branches)
 	}
@@ -395,10 +400,23 @@ func (sem Semantics) String() string {
 }
 
 // ByDefinition computes the chosen semantics directly from its definition,
-// enumerating all CWA-solutions. Exponential; intended for cross-checking
-// the characterisations on small inputs (experiment E11).
+// enumerating all CWA-solutions. Exponential; the planner's fallback where
+// Theorem 7.1 gives no characterisation, and the reference the
+// characterisations are cross-checked against (experiment E11). The
+// enumeration inherits opt.Chase's context and step budget and opt.Workers
+// unless opt.Enum sets its own.
 func ByDefinition(s *dependency.Setting, q query.Evaluable, src *instance.Instance, sem Semantics, opt Options) (*query.TupleSet, error) {
-	sols, err := cwa.Enumerate(s, src, opt.Enum)
+	enum := opt.Enum
+	if enum.ChaseOptions.Ctx == nil {
+		enum.ChaseOptions.Ctx = opt.Chase.Ctx
+	}
+	if enum.ChaseOptions.MaxSteps == 0 {
+		enum.ChaseOptions.MaxSteps = opt.Chase.MaxSteps
+	}
+	if enum.Workers == 0 {
+		enum.Workers = opt.Workers
+	}
+	sols, err := cwa.Enumerate(s, src, enum)
 	if err != nil {
 		return nil, err
 	}
@@ -431,52 +449,17 @@ func ByDefinition(s *dependency.Setting, q query.Evaluable, src *instance.Instan
 	return out, nil
 }
 
-// Answers computes the chosen semantics using the Theorem 7.1
-// characterisations where they apply:
-//
-//   - certain⊔(Q,S) = □Q(Core_D(S)) and maybe⊓(Q,S) = ◇Q(Core_D(S)), always
-//     (the core is the minimal CWA-solution and Rep is monotone under
-//     homomorphic images);
-//   - certain⊓(Q,S) = □Q(CanSol_D(S)) and maybe⊔(Q,S) = ◇Q(CanSol_D(S))
-//     when the setting's dependencies fall into Proposition 5.4's classes
-//     (egd-only target dependencies, or full tgds with egds), where CanSol
-//     is the maximal CWA-solution.
-//
-// Outside those classes, certain⊓ and maybe⊔ fall back to ByDefinition.
+// Answers computes the chosen semantics by the method Choose picks (see
+// AnswersOn), computing the solution that method reads from src.
 func Answers(s *dependency.Setting, q query.Evaluable, src *instance.Instance, sem Semantics, opt Options) (*query.TupleSet, error) {
-	switch sem {
-	case CertainCup:
-		core, err := cwa.Minimal(s, src, opt.Chase)
-		if err != nil {
-			return nil, err
-		}
-		return Box(s, q, core, opt)
-	case MaybeCap:
-		core, err := cwa.Minimal(s, src, opt.Chase)
-		if err != nil {
-			return nil, err
-		}
-		return Diamond(s, q, core, opt)
-	case CertainCap, MaybeCup:
-		if s.EgdsOnly() || s.FullAndEgds() {
-			can, err := cwa.CanSol(s, src, opt.Chase)
-			if err != nil {
-				return nil, err
-			}
-			if sem == CertainCap {
-				return Box(s, q, can, opt)
-			}
-			return Diamond(s, q, can, opt)
-		}
-		return ByDefinition(s, q, src, sem, opt)
-	}
-	return nil, fmt.Errorf("certain: unknown semantics %v", sem)
+	return AnswersOn(s, q, FromSource(s, src, opt.Chase), sem, opt)
 }
 
 // CertainUCQ computes certain⊓(Q,S) = certain⊔(Q,S) for a union of
 // conjunctive queries without inequalities via Lemma 7.7: evaluate Q
-// naively on a CWA-solution and keep the null-free tuples, giving the
-// polynomial data complexity of Theorem 7.6.
+// naively on a universal solution and keep the null-free tuples, giving the
+// polynomial data complexity of Theorem 7.6. This is the planner's
+// NaiveUniversal method.
 //
 // It evaluates on the standard-chase universal solution rather than its
 // core: the core is hom-equivalent to it, UCQs are preserved by
@@ -486,9 +469,5 @@ func CertainUCQ(s *dependency.Setting, u query.UCQ, src *instance.Instance, opt 
 	if !u.Pure() {
 		return nil, fmt.Errorf("certain: CertainUCQ requires a UCQ without inequalities")
 	}
-	t, err := chase.UniversalSolution(s, src, opt.Chase)
-	if err != nil {
-		return nil, err
-	}
-	return query.NullFree(u.Answers(t)), nil
+	return naiveUniversal(FromSource(s, src, opt.Chase), u)
 }

@@ -3,16 +3,10 @@ package certain
 import (
 	"fmt"
 
-	"repro/internal/cwa"
 	"repro/internal/dependency"
 	"repro/internal/instance"
 	"repro/internal/query"
 )
-
-// cwaCanSol wraps cwa.CanSol with this package's options.
-func cwaCanSol(s *dependency.Setting, src *instance.Instance, opt Options) (*instance.Instance, error) {
-	return cwa.CanSol(s, src, opt.Chase)
-}
 
 // BoxUCQIneqPTime computes □Q(T) for a union of conjunctive queries with at
 // most one inequality per disjunct, for settings whose target dependencies
@@ -51,40 +45,6 @@ func BoxUCQIneqPTime(s *dependency.Setting, u query.UCQ, t *instance.Instance) (
 		}
 	}
 	return out, nil
-}
-
-// AnswersUCQIneq computes certain⊓(Q,S) for a UCQ with at most one
-// inequality per disjunct along the Table 1 column-2 classification:
-//
-//   - settings whose target dependencies are egds only: the PTIME fixpoint
-//     on CanSol (the maximal CWA-solution, so certain⊓ = □Q(CanSol));
-//   - full tgds + egds: chase results are null-free, Rep(T) = {T}, so the
-//     naive evaluation is exact;
-//   - anything else: the problem is co-NP-hard (Theorem 7.5); fall back to
-//     the generic valuation enumeration via Answers.
-func AnswersUCQIneq(s *dependency.Setting, u query.UCQ, src *instance.Instance, opt Options) (*query.TupleSet, error) {
-	if u.MaxInequalitiesPerDisjunct() > 1 {
-		return nil, fmt.Errorf("certain: AnswersUCQIneq requires at most one inequality per disjunct")
-	}
-	switch {
-	case s.EgdsOnly():
-		can, err := cwaCanSol(s, src, opt)
-		if err != nil {
-			return nil, err
-		}
-		return BoxUCQIneqPTime(s, u, can)
-	case s.FullAndEgds():
-		can, err := cwaCanSol(s, src, opt)
-		if err != nil {
-			return nil, err
-		}
-		if can.HasNulls() {
-			return nil, fmt.Errorf("certain: full-tgd chase result unexpectedly has nulls")
-		}
-		return query.NullFree(u.Answers(can)), nil
-	default:
-		return Answers(s, u, src, CertainCap, opt)
-	}
 }
 
 // certainByFixpoint runs the forced-equality fixpoint for one candidate.

@@ -2,6 +2,9 @@ package certain
 
 import (
 	"testing"
+
+	"repro/internal/chase"
+	"repro/internal/cwa"
 )
 
 func TestAnswersUCQIneqEgdOnlyDispatch(t *testing.T) {
@@ -16,12 +19,15 @@ target-deps:
 `)
 	src := mustInstance(t, `N(a,b). W(a,e). N(c,d).`)
 	u := mustUCQ(t, "q(x) :- F(x,y), y != x.")
-	fast, err := AnswersUCQIneq(s, u, src, Options{})
+	if m := Choose(s, u, CertainCap); m != FixpointCanSol {
+		t.Fatalf("planner chose %v, want %v", m, FixpointCanSol)
+	}
+	fast, err := Answers(s, u, src, CertainCap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Cross-check against the characterisation: certain⊓ = □Q(CanSol).
-	can, err := cwaCanSol(s, src, Options{})
+	can, err := cwa.CanSol(s, src, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +52,10 @@ target-deps:
 `)
 	src := mustInstance(t, `R(a,b). R(b,c).`)
 	u := mustUCQ(t, "q(x,z) :- T(x,z), x != z.")
-	got, err := AnswersUCQIneq(s, u, src, Options{})
+	if m := Choose(s, u, CertainCap); m != NullFree {
+		t.Fatalf("planner chose %v, want %v", m, NullFree)
+	}
+	got, err := Answers(s, u, src, CertainCap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +70,10 @@ func TestAnswersUCQIneqGenericFallback(t *testing.T) {
 	s := mustSetting(t, example21)
 	src := mustInstance(t, smallSource)
 	u := mustUCQ(t, "q(x) :- E(x,y), y != x.")
-	got, err := AnswersUCQIneq(s, u, src, Options{})
+	if m := Choose(s, u, CertainCap); m != ByDef {
+		t.Fatalf("planner chose %v, want %v", m, ByDef)
+	}
+	got, err := Answers(s, u, src, CertainCap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +86,42 @@ func TestAnswersUCQIneqGenericFallback(t *testing.T) {
 	}
 }
 
+// Two inequalities in a disjunct leave the PTIME cell (Theorem 7.5): the
+// planner never hands such a query to the fixpoint, which rejects it, and
+// answers it by Box over CanSol instead.
 func TestAnswersUCQIneqRejectsTwoInequalities(t *testing.T) {
-	s := mustSetting(t, example21)
-	src := mustInstance(t, smallSource)
-	u := mustUCQ(t, "q(x) :- E(x,y), y != x, F(x,z), z != x.")
-	if _, err := AnswersUCQIneq(s, u, src, Options{}); err == nil {
-		t.Fatal("two inequalities per disjunct must be rejected")
+	s := mustSetting(t, `
+source N/2.
+target F/2.
+st:
+  N(x,y) -> exists z : F(x,z).
+target-deps:
+  F(x,y) & F(x,z) -> y = z.
+`)
+	src := mustInstance(t, `N(a,b). N(c,d).`)
+	u := mustUCQ(t, "q(x) :- F(x,y), y != x, F(w,z), z != x.")
+	can, err := cwa.CanSol(s, src, chase.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BoxUCQIneqPTime(s, u, can); err == nil {
+		t.Fatal("the fixpoint must reject two inequalities per disjunct")
+	}
+	for _, sem := range []Semantics{CertainCap, CertainCup} {
+		if m := Choose(s, u, sem); m == FixpointCore || m == FixpointCanSol {
+			t.Fatalf("%v: planner chose %v for two inequalities", sem, m)
+		}
+	}
+	got, err := Answers(s, u, src, CertainCap, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Box(s, u, can, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("planner %v != □Q(CanSol) %v", got, want)
 	}
 }
 
@@ -104,7 +146,7 @@ target-deps:
 	for seed := int64(0); seed < 10; seed++ {
 		// Small sources keep the enumeration affordable (≤ ~6 nulls).
 		src := genwlEgdOnlySource(4, seed)
-		can, err := cwaCanSol(s, src, Options{})
+		can, err := cwa.CanSol(s, src, chase.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

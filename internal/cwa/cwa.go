@@ -33,6 +33,15 @@ import (
 // failed on an egd.
 var ErrNoSolution = errors.New("cwa: no solution exists (chase failed)")
 
+// NoSolution maps a chase's egd failure to an error wrapping ErrNoSolution
+// and returns any other error unchanged.
+func NoSolution(err error) error {
+	if chase.IsEgdFailure(err) {
+		return fmt.Errorf("%w: %v", ErrNoSolution, err)
+	}
+	return err
+}
+
 // Exists decides Existence-of-CWA-Solutions(D) for the source instance: by
 // Corollary 5.2 this is equivalent to the existence of universal solutions,
 // which the standard chase decides for weakly acyclic settings. For general
@@ -57,10 +66,7 @@ func Exists(s *dependency.Setting, src *instance.Instance, opt chase.Options) (b
 func Minimal(s *dependency.Setting, src *instance.Instance, opt chase.Options) (*instance.Instance, error) {
 	u, err := chase.UniversalSolution(s, src, opt)
 	if err != nil {
-		if chase.IsEgdFailure(err) {
-			return nil, fmt.Errorf("%w: %v", ErrNoSolution, err)
-		}
-		return nil, err
+		return nil, NoSolution(err)
 	}
 	return score.Core(u), nil
 }
@@ -74,10 +80,7 @@ func Minimal(s *dependency.Setting, src *instance.Instance, opt chase.Options) (
 func CanSol(s *dependency.Setting, src *instance.Instance, opt chase.Options) (*instance.Instance, error) {
 	res, _, err := chase.Canonical(s, src, opt)
 	if err != nil {
-		if chase.IsEgdFailure(err) {
-			return nil, fmt.Errorf("%w: %v", ErrNoSolution, err)
-		}
-		return nil, err
+		return nil, NoSolution(err)
 	}
 	return res.Target, nil
 }

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/chase"
 	"repro/internal/dependency"
@@ -42,9 +43,16 @@ var ErrNotIncremental = errors.New("incr: setting is not weakly acyclic")
 
 // Engine maintains the chase result of one (setting, source) pair under
 // source mutations. All methods are safe for concurrent use; mutations are
-// serialized internally.
+// serialized internally. Reads of a served fixpoint share the lock, so a
+// long evaluation in View delays mutations but no other reader, and
+// Version takes no lock at all.
 type Engine struct {
-	mu sync.Mutex
+	// mu is held exclusively by Apply and by the repairs ensure makes, and
+	// shared by reads of a state that needs none.
+	mu sync.RWMutex
+	// version mirrors source.Version() for lock-free reads; Apply stores
+	// it under mu.
+	version atomic.Uint64
 
 	s *dependency.Setting
 	// maintainable reports that every s-t tgd body is conjunctive, the
@@ -68,8 +76,11 @@ type Engine struct {
 	// offending tuples, which triggers a rebuild.
 	noSol error
 
-	srcSnap *instance.Instance // memoized source snapshot
-	uniSnap *instance.Instance // memoized universal solution (τ-reduct)
+	// Snapshots memoised until the next mutation. They are atomic because
+	// readers holding mu shared fill them; whoever clears them holds mu
+	// exclusively.
+	srcSnap atomic.Pointer[instance.Instance] // source snapshot
+	uniSnap atomic.Pointer[instance.Instance] // universal solution (τ-reduct)
 }
 
 // ApplyResult reports what a mutation batch did.
@@ -113,6 +124,7 @@ func New(s *dependency.Setting, src *instance.Instance, opt chase.Options) (*Eng
 		}
 	}
 	e := &Engine{s: s, maintainable: maintainable, source: src.Clone()}
+	e.version.Store(e.source.Version())
 	return e, e.rebuild(opt)
 }
 
@@ -138,7 +150,8 @@ func (e *Engine) rebuild(opt chase.Options) error {
 	e.dirty = false
 	e.noSol = nil
 	e.res = nil
-	e.srcSnap, e.uniSnap = nil, nil
+	e.srcSnap.Store(nil)
+	e.uniSnap.Store(nil)
 	var obs chase.Observer
 	if e.maintainable {
 		e.g = newGraph()
@@ -178,8 +191,31 @@ func (e *Engine) ensure(opt chase.Options) error {
 			return err
 		}
 		e.dirty = false
-		e.uniSnap = nil
+		e.uniSnap.Store(nil)
 	}
+	return nil
+}
+
+// read runs f on a served fixpoint. When the state needs no repair, f runs
+// under the shared lock, beside other readers; otherwise the state is
+// repaired by ensure and f runs under the exclusive lock.
+func (e *Engine) read(opt chase.Options, f func()) error {
+	e.mu.RLock()
+	if e.noSol != nil || (e.res != nil && !e.dirty) {
+		defer e.mu.RUnlock()
+		if e.noSol != nil {
+			return e.noSol
+		}
+		f()
+		return nil
+	}
+	e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.ensure(opt); err != nil {
+		return err
+	}
+	f()
 	return nil
 }
 
@@ -194,11 +230,7 @@ func (e *Engine) rebuildReporting(opt chase.Options) error {
 
 // Version returns the monotone source version: it advances by one for
 // every source atom actually inserted or removed.
-func (e *Engine) Version() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.source.Version()
-}
+func (e *Engine) Version() uint64 { return e.version.Load() }
 
 // Maintainable reports whether inserts can be delta-chased (every s-t body
 // conjunctive). Non-maintainable engines resolve every mutation by full
@@ -208,12 +240,14 @@ func (e *Engine) Maintainable() bool { return e.maintainable }
 // SourceSnapshot returns an immutable snapshot of the current source
 // instance. The snapshot is memoized until the next mutation.
 func (e *Engine) SourceSnapshot() *instance.Instance {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.srcSnap == nil {
-		e.srcSnap = e.source.Clone()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	snap := e.srcSnap.Load()
+	if snap == nil {
+		snap = e.source.Clone()
+		e.srcSnap.Store(snap)
 	}
-	return e.srcSnap
+	return snap
 }
 
 // Solution returns an immutable snapshot of the maintained universal
@@ -222,22 +256,34 @@ func (e *Engine) SourceSnapshot() *instance.Instance {
 // the current source has no solution. The snapshot is memoized until the
 // next mutation.
 func (e *Engine) Solution(opt chase.Options) (*instance.Instance, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.ensure(opt); err != nil {
-		return nil, err
-	}
-	if e.uniSnap == nil {
-		e.uniSnap = e.res.Target()
-	}
-	return e.uniSnap, nil
+	var snap *instance.Instance
+	err := e.read(opt, func() {
+		snap = e.uniSnap.Load()
+		if snap == nil {
+			snap = e.res.Target()
+			e.uniSnap.Store(snap)
+		}
+	})
+	return snap, err
+}
+
+// View calls f with the maintained universal solution in place: the
+// τ-reduct of the chase fixpoint as a read-only view that shares the
+// engine's storage (instance.ReductView), after the same re-saturation and
+// no-solution check as Solution. Unlike Solution it copies and memoises
+// nothing. f runs under the engine's lock, shared with other readers, so
+// mutations wait for it but Version, snapshots and other views do not; f
+// must neither modify the instance nor retain it, and must not call the
+// engine.
+func (e *Engine) View(opt chase.Options, f func(*instance.Instance)) error {
+	return e.read(opt, func() { f(e.res.Instance().ReductView(e.s.Target)) })
 }
 
 // Steps returns the lifetime chase steps of the maintained state (0 while
 // in a no-solution state).
 func (e *Engine) Steps() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	if e.res == nil {
 		return 0
 	}
@@ -310,6 +356,7 @@ func (e *Engine) Apply(muts []instance.Mutation, opt chase.Options) (ApplyResult
 		}
 	}
 	res.Version = e.source.Version()
+	e.version.Store(res.Version)
 	if len(netIns) == 0 && len(netDel) == 0 {
 		res.NoSolution = e.noSol != nil
 		if e.res != nil {
@@ -318,7 +365,8 @@ func (e *Engine) Apply(muts []instance.Mutation, opt chase.Options) (ApplyResult
 		return res, nil
 	}
 
-	e.srcSnap, e.uniSnap = nil, nil
+	e.srcSnap.Store(nil)
+	e.uniSnap.Store(nil)
 	metrics.IncrMutations.Inc()
 
 	start := 0

@@ -443,3 +443,35 @@ func TestGraphRetractKeepsOtherSupport(t *testing.T) {
 		t.Fatalf("retract removed %v, want [B(x)] (over-delete; re-derivation is the chase's job)", removed)
 	}
 }
+
+// Toggling one atom of a two-atom body must not lengthen the other body
+// atom's consumer list without bound: each dead firing stays listed there
+// until record compacts the list.
+func TestGraphTogglingKeepsConsumersBounded(t *testing.T) {
+	s := mustSetting(t, `
+source M/2, N/2.
+target E/2.
+st:
+  d1: M(x,y) & N(y,z) -> E(x,z).
+`)
+	e, err := New(s, mustInstance(t, `M(a,b). N(b,c).`), chase.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		m := del("M", c("a"), c("b"))
+		if i%2 == 1 {
+			m = ins("M", c("a"), c("b"))
+		}
+		if _, err := e.Apply([]instance.Mutation{m}, chase.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(e.g.consumers[atomKey(instance.NewAtom("N", c("b"), c("c")))]); got > 2 {
+		t.Fatalf("N(b,c) lists %d consumers after 100 toggles of M(a,b), want at most 2", got)
+	}
+	if e.g.liveFirings() != 1 {
+		t.Fatalf("%d live firings, want 1", e.g.liveFirings())
+	}
+	checkAgainstScratch(t, e, s)
+}

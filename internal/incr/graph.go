@@ -26,7 +26,6 @@ func atomKey(a instance.Atom) string {
 type firing struct {
 	body     []instance.Atom
 	produced []instance.Atom
-	dead     bool
 }
 
 // graph is the justification graph of a chase: per Definition 4.1, every
@@ -50,17 +49,24 @@ type firing struct {
 // only insert an atom after the first firing's copy was retracted, and the
 // retraction killed the first firing's claim before returning the atom.
 type graph struct {
-	firings []*firing
-	// producer maps an atom key to the index of the live firing that
+	// firings holds the live firings by id. A firing that dies is deleted.
+	firings map[int]*firing
+	next    int // id of the next recorded firing
+	// producer maps an atom key to the id of the live firing that
 	// inserted it. Source atoms never appear (nothing produces them).
 	producer map[string]int
 	// consumers maps an atom key to the firings whose ground body contains
-	// the atom. Entries may reference dead firings; retract skips them.
+	// the atom. Entries may reference dead firings (a firing dies through
+	// one body atom and stays listed under the others); retract skips them,
+	// and record drops them when a list is full, so a list grows only when
+	// every entry in it is live, and a long run of insert/delete toggles
+	// does not lengthen it.
 	consumers map[string][]int
 }
 
 func newGraph() *graph {
 	return &graph{
+		firings:   make(map[int]*firing),
 		producer:  make(map[string]int),
 		consumers: make(map[string][]int),
 	}
@@ -69,15 +75,31 @@ func newGraph() *graph {
 // record adds one firing. body and produced are retained — callers pass
 // freshly instantiated slices.
 func (g *graph) record(body, produced []instance.Atom) {
-	idx := len(g.firings)
-	g.firings = append(g.firings, &firing{body: body, produced: produced})
+	idx := g.next
+	g.next++
+	g.firings[idx] = &firing{body: body, produced: produced}
 	for _, a := range produced {
 		g.producer[atomKey(a)] = idx
 	}
 	for _, a := range body {
 		k := atomKey(a)
-		g.consumers[k] = append(g.consumers[k], idx)
+		l := g.consumers[k]
+		if len(l) == cap(l) {
+			l = g.live(l)
+		}
+		g.consumers[k] = append(l, idx)
 	}
+}
+
+// live filters the dead firings out of ids, in place.
+func (g *graph) live(ids []int) []int {
+	out := ids[:0]
+	for _, fi := range ids {
+		if _, ok := g.firings[fi]; ok {
+			out = append(out, fi)
+		}
+	}
+	return out
 }
 
 // retract removes the given (source) atoms from the graph and cascades:
@@ -100,11 +122,11 @@ func (g *graph) retract(deleted []instance.Atom) []instance.Atom {
 		k := queue[0]
 		queue = queue[1:]
 		for _, fi := range g.consumers[k] {
-			f := g.firings[fi]
-			if f.dead {
+			f, live := g.firings[fi]
+			if !live {
 				continue
 			}
-			f.dead = true
+			delete(g.firings, fi)
 			for _, p := range f.produced {
 				pk := atomKey(p)
 				if idx, ok := g.producer[pk]; !ok || idx != fi {
@@ -125,12 +147,4 @@ func (g *graph) retract(deleted []instance.Atom) []instance.Atom {
 
 // liveFirings reports how many recorded firings are still alive (tests and
 // introspection).
-func (g *graph) liveFirings() int {
-	n := 0
-	for _, f := range g.firings {
-		if !f.dead {
-			n++
-		}
-	}
-	return n
-}
+func (g *graph) liveFirings() int { return len(g.firings) }

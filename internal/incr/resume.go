@@ -43,6 +43,7 @@ func Resume(s *dependency.Setting, src, fixpoint *instance.Instance, steps int) 
 		}
 	}
 	e := &Engine{s: s, maintainable: maintainable, source: src, merged: true}
+	e.version.Store(src.Version())
 	var obs chase.Observer
 	if maintainable {
 		e.g = newGraph()
@@ -59,12 +60,13 @@ func Resume(s *dependency.Setting, src, fixpoint *instance.Instance, steps int) 
 // matters: a source captured after a mutation paired with a fixpoint
 // captured before it would resume into a silently non-universal state.
 func (e *Engine) PersistSnapshot() (src, fixpoint *instance.Instance, steps int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.srcSnap == nil {
-		e.srcSnap = e.source.Clone()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	src = e.srcSnap.Load()
+	if src == nil {
+		src = e.source.Clone()
+		e.srcSnap.Store(src)
 	}
-	src = e.srcSnap
 	if e.res != nil && e.noSol == nil && !e.dirty {
 		fixpoint = e.res.Instance().Clone()
 		steps = e.res.Steps()
@@ -78,8 +80,8 @@ func (e *Engine) PersistSnapshot() (src, fixpoint *instance.Instance, steps int)
 // engine is in a no-solution state or was interrupted mid-chase (dirty) —
 // callers then persist the source alone and re-chase at recovery.
 func (e *Engine) FixpointSnapshot() (*instance.Instance, int, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	if e.res == nil || e.noSol != nil || e.dirty {
 		return nil, 0, false
 	}

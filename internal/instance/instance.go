@@ -698,6 +698,23 @@ func (ins *Instance) Reduct(s Schema) *Instance {
 	return out
 }
 
+// ReductView is Reduct without the copy: the returned instance shares the
+// relations of ins, so building it allocates only the relation index. It
+// is a read-only view, valid while ins is not mutated: adding to or
+// removing from either one while the view is in use is not allowed.
+func (ins *Instance) ReductView(s Schema) *Instance {
+	out := New()
+	out.version = ins.version
+	ins.eachRel(func(r *relation) {
+		if !s.Has(r.name) || r.nLive == 0 {
+			return
+		}
+		out.rels[r.name] = r
+		out.names = append(out.names, r.name)
+	})
+	return out
+}
+
 // Union returns a new instance holding the atoms of both operands.
 func Union(a, b *Instance) *Instance {
 	u := a.Clone()

@@ -203,6 +203,11 @@ func register(name string) *Counter {
 	return c
 }
 
+// NewCounter registers a counter owned by another package, so that
+// Snapshot, WriteText and Reset include it. Call it only while packages
+// initialise: the registry is not locked.
+func NewCounter(name string) *Counter { return register(name) }
+
 func registerGauge(name string) *Gauge {
 	g := &Gauge{name: name}
 	gauges = append(gauges, g)

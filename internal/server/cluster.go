@@ -372,6 +372,9 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request, owner string, b
 
 	if resp.StatusCode == http.StatusNotModified && replica != nil {
 		metrics.ClusterCacheHits.Inc()
+		if v := resp.Header.Get(planHeader); v != "" {
+			w.Header().Set(planHeader, v)
+		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("ETag", replica.etag)
 		w.Header().Set("X-Cache", "cluster-hit")
@@ -444,7 +447,7 @@ func (s *Server) forwardMoved(w http.ResponseWriter, r *http.Request, owner stri
 }
 
 func relayHeaders(w http.ResponseWriter, resp *http.Response) {
-	for _, h := range []string{"Content-Type", "ETag", "X-Cache"} {
+	for _, h := range []string{"Content-Type", "ETag", "X-Cache", planHeader} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}

@@ -35,6 +35,10 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metricsz", s.handleMetrics)
 }
 
+// planHeader names the certain-answer method (certain.Method) that answers
+// a /v1/certain request.
+const planHeader = "X-Dx-Plan"
+
 // semanticsByName maps the wire names to the four Section 7.1 semantics.
 var semanticsByName = map[string]certain.Semantics{
 	"certain-cap": certain.CertainCap,
@@ -462,8 +466,11 @@ func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
 	if workers <= 0 {
 		workers = s.cfg.Workers
 	}
+	// The method depends only on the query, the setting and the semantics,
+	// so cached and revalidated answers report it too.
+	w.Header().Set(planHeader, certain.Choose(sc.setting, q, sem).String())
 	s.cached(w, r, resultKey(sc, "certain", semName, req.Query), func() (any, error) {
-		ans, err := certain.Answers(sc.setting, q, sc.src(), sem,
+		ans, err := certain.AnswersOn(sc.setting, q, scenarioSolutions{sc, opt}, sem,
 			certain.Options{Chase: opt, Workers: workers})
 		if err != nil {
 			return nil, err

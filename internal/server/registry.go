@@ -143,10 +143,7 @@ func (sc *scenario) chaseFor(opt chase.Options) (universal *instance.Instance, s
 func (sc *scenario) coreFor(opt chase.Options) (*instance.Instance, error) {
 	u, _, err := sc.chaseFor(opt)
 	if err != nil {
-		if chase.IsEgdFailure(err) {
-			err = fmt.Errorf("%w: %v", cwa.ErrNoSolution, err)
-		}
-		return nil, err
+		return nil, cwa.NoSolution(err)
 	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -170,6 +167,35 @@ func (sc *scenario) cansolFor(opt chase.Options) (*instance.Instance, error) {
 	}
 	return sc.cansol, nil
 }
+
+// scenarioSolutions supplies the certain-answer planner (certain.AnswersOn)
+// with the scenario's maintained solutions under one request's options: the
+// core and CanSol from their memos, and the universal solution in place
+// from the incremental engine, or from the chase memo for scenarios without
+// one. The engine path memoises no τ-reduct, so a mutated scenario that is
+// only queried keeps no copy of its chase result beside the engine's own.
+type scenarioSolutions struct {
+	sc  *scenario
+	opt chase.Options
+}
+
+func (p scenarioSolutions) Source() *instance.Instance { return p.sc.src() }
+
+func (p scenarioSolutions) Universal(f func(*instance.Instance)) error {
+	if p.sc.engine != nil {
+		return cwa.NoSolution(p.sc.engine.View(p.opt, f))
+	}
+	u, _, err := p.sc.chaseFor(p.opt)
+	if err != nil {
+		return cwa.NoSolution(err)
+	}
+	f(u)
+	return nil
+}
+
+func (p scenarioSolutions) Core() (*instance.Instance, error) { return p.sc.coreFor(p.opt) }
+
+func (p scenarioSolutions) CanSol() (*instance.Instance, error) { return p.sc.cansolFor(p.opt) }
 
 // chased reports whether a successful chase result is memoized.
 func (sc *scenario) chased() (steps, atoms int, ok bool) {

@@ -27,6 +27,8 @@
 package repro
 
 import (
+	"fmt"
+
 	"repro/internal/certain"
 	"repro/internal/chase"
 	"repro/internal/cwa"
@@ -234,10 +236,14 @@ func FindPresolutionAlpha(s *Setting, src, t *Instance) (map[string]query.Bindin
 }
 
 // CertainAnswersUCQIneq computes certain⊓ for a UCQ with at most one
-// inequality per disjunct, using the polynomial algorithms for the Table 1
-// classes where they apply.
+// inequality per disjunct through the planner, which uses the polynomial
+// algorithms for the Table 1 classes where they apply. More inequalities in
+// a disjunct are refused.
 func CertainAnswersUCQIneq(s *Setting, u UCQ, src *Instance, opt CertainOptions) (*TupleSet, error) {
-	return certain.AnswersUCQIneq(s, u, src, opt)
+	if u.MaxInequalitiesPerDisjunct() > 1 {
+		return nil, fmt.Errorf("certain: CertainAnswersUCQIneq requires at most one inequality per disjunct")
+	}
+	return certain.Answers(s, u, src, certain.CertainCap, opt)
 }
 
 // PossibleUCQ decides the Boolean maybe answer ◇Q(T) ≠ ∅ in polynomial

@@ -167,6 +167,23 @@ func TestFacadeExtendedAPI(t *testing.T) {
 	}
 }
 
+func TestFacadeUCQIneqRejectsTwoInequalities(t *testing.T) {
+	s, err := repro.ParseSetting(`
+source N/2.
+target F/2.
+st:
+  N(x,y) -> F(x,y).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _ := repro.ParseInstance(`N(a,b).`)
+	u, _ := repro.ParseUCQ("q(x) :- F(x,y), y != x, F(y,z), z != y.")
+	if _, err := repro.CertainAnswersUCQIneq(s, u, src, repro.CertainOptions{}); err == nil {
+		t.Fatal("two inequalities per disjunct must be rejected")
+	}
+}
+
 func TestFacadeUCQIneqAndPossible(t *testing.T) {
 	egdOnly, err := repro.ParseSetting(`
 source N/2, W/2.

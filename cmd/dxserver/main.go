@@ -61,33 +61,12 @@
 // On SIGINT/SIGTERM the server stops admitting new work (503), drains
 // in-flight requests for -drain-timeout, then aborts whatever is left via
 // the evaluation contexts and exits.
-//
-// dxserver -smoke starts the server on a loopback port, fires a scripted
-// request burst through the Go client (register, chase, core, certain
-// twice to exercise the result cache, enum, a deliberately timed-out
-// request, health and metrics), verifies every response, and exits 0/1 —
-// the `make serve-smoke` target. dxserver -smoke-store does the same for
-// the durable store (fsync off): register and mutate against a temp
-// directory, restart cleanly (zero WAL replay), verify recovered answers
-// and the base_version conflict, crash-restart, verify again — the
-// `make store-smoke` target. dxserver -smoke-cluster boots a three-node
-// loopback cluster and drives register/mutate/query through different
-// entry nodes, checking byte-identical answers, the 409 on a stale
-// base_version through any entry, and the replicated-cache revalidation —
-// the `make cluster-smoke` target. dxserver -smoke-membership boots a
-// three-node cluster, keeps traffic running, joins a fourth node live,
-// drains one member away, and verifies zero failed requests with exactly
-// the ring-moved scenarios transferred — the `make membership-smoke`
-// target.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log"
-	"net"
 	"net/http"
 	_ "net/http/pprof" // profiling endpoints on the -pprof listener's DefaultServeMux
 	"os"
@@ -98,7 +77,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/server"
-	"repro/internal/server/api"
 	"repro/internal/server/client"
 	"repro/internal/store"
 )
@@ -124,10 +102,6 @@ func main() {
 	clusterRole := flag.String("cluster-role", "auto", "cluster role: auto, node or router")
 	clusterJoin := flag.String("cluster-join", "", "seed member URL: join its cluster live (requires -cluster-self, exclusive with -cluster)")
 	clusterDrainLeave := flag.Bool("cluster-drain-leave", false, "hand owned scenarios off to the remaining members before shutting down")
-	smoke := flag.Bool("smoke", false, "start on a loopback port, run a scripted request burst, and exit")
-	smokeStore := flag.Bool("smoke-store", false, "run the durable-store smoke (register, restart, crash-restart) against a temp dir and exit")
-	smokeCluster := flag.Bool("smoke-cluster", false, "run the cluster smoke (3 loopback nodes, requests through every entry) and exit")
-	smokeMembership := flag.Bool("smoke-membership", false, "run the membership smoke (live join and drain under traffic) and exit")
 	flag.Parse()
 
 	// The profiler gets its own listener and the default mux (where the
@@ -151,39 +125,6 @@ func main() {
 		MaxEnumSolutions: *maxEnum,
 		MaxScenarios:     *maxScenarios,
 		MaxResults:       *maxResults,
-	}
-
-	if *smoke {
-		if err := runSmoke(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "dxserver -smoke: FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("dxserver -smoke: PASS")
-		return
-	}
-	if *smokeStore {
-		if err := runStoreSmoke(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "dxserver -smoke-store: FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("dxserver -smoke-store: PASS")
-		return
-	}
-	if *smokeCluster {
-		if err := runClusterSmoke(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "dxserver -smoke-cluster: FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("dxserver -smoke-cluster: PASS")
-		return
-	}
-	if *smokeMembership {
-		if err := runMembershipSmoke(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "dxserver -smoke-membership: FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("dxserver -smoke-membership: PASS")
-		return
 	}
 
 	if *clusterJoin != "" {
@@ -337,314 +278,4 @@ func main() {
 		}
 	}
 	log.Printf("dxserver: bye")
-}
-
-// runSmoke is the self-contained request burst behind `make serve-smoke`.
-func runSmoke(cfg server.Config) error {
-	srv := server.New(cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv}
-	go hs.Serve(ln)
-	defer hs.Close()
-
-	c := client.New("http://" + ln.Addr().String())
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	step := func(name string, f func() error) error {
-		if err := f(); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		fmt.Printf("  ok: %s\n", name)
-		return nil
-	}
-
-	const setting = `
-source M/2, N/2.
-target E/2, F/2, G/2.
-st:
-  d1: M(x1,x2) -> E(x1,x2).
-  d2: N(x,y) -> exists z1,z2 : E(x,z1) & F(x,z2).
-target-deps:
-  d3: F(y,x) -> exists z : G(x,z).
-  d4: F(x,y) & F(x,z) -> y = z.
-`
-	const source = `M(a,b). N(a,b). N(a,c).`
-
-	if err := step("register", func() error {
-		info, err := c.Register(ctx, api.RegisterRequest{Name: "smoke", Setting: setting, Source: source})
-		if err != nil {
-			return err
-		}
-		if !info.WeaklyAcyclic || !info.Chased {
-			return fmt.Errorf("expected an eagerly chased weakly acyclic scenario, got %+v", info)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := step("chase", func() error {
-		res, err := c.Chase(ctx, api.EvalRequest{Scenario: "smoke"})
-		if err != nil {
-			return err
-		}
-		if res.Atoms == 0 || res.Steps == 0 {
-			return fmt.Errorf("empty chase result: %+v", res)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := step("core", func() error {
-		res, err := c.Core(ctx, api.EvalRequest{Scenario: "smoke"})
-		if err != nil {
-			return err
-		}
-		if res.Atoms != 3 {
-			return fmt.Errorf("Example 2.1 core must have 3 atoms, got %d: %s", res.Atoms, res.Instance)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	certainReq := api.EvalRequest{Scenario: "smoke", Query: `q(x,y) :- E(x,y).`, Semantics: "certain-cup"}
-	var first api.CertainResponse
-	if err := step("certain (miss)", func() error {
-		first, err = c.Certain(ctx, certainReq)
-		if err != nil {
-			return err
-		}
-		if len(first.Answers) != 1 {
-			return fmt.Errorf("certain⊔ of q(x,y):-E(x,y) must be {(a,b)}, got %v", first.Answers)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := step("certain (cached)", func() error {
-		second, err := c.Certain(ctx, certainReq)
-		if err != nil {
-			return err
-		}
-		if fmt.Sprint(second.Answers) != fmt.Sprint(first.Answers) {
-			return fmt.Errorf("cached answers differ: %v vs %v", second.Answers, first.Answers)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := step("enum", func() error {
-		n := 0
-		sum, err := c.Enum(ctx, api.EvalRequest{Scenario: "smoke", Max: 50}, func(api.EnumSolution) error {
-			n++
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if !sum.Done || sum.Count != n || n == 0 {
-			return fmt.Errorf("bad enum stream: summary %+v after %d lines", sum, n)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := step("burst of 25 mixed requests", func() error {
-		for i := 0; i < 25; i++ {
-			switch i % 3 {
-			case 0:
-				if _, err := c.Core(ctx, api.EvalRequest{Scenario: "smoke"}); err != nil {
-					return err
-				}
-			case 1:
-				if _, err := c.Certain(ctx, certainReq); err != nil {
-					return err
-				}
-			default:
-				if _, err := c.Exists(ctx, api.EvalRequest{Scenario: "smoke"}); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := step("metrics expose cache hits", func() error {
-		text, err := c.Metrics(ctx)
-		if err != nil {
-			return err
-		}
-		if !strings.Contains(text, "server_cache_hits") {
-			return fmt.Errorf("metricsz missing server_cache_hits:\n%s", text)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	return step("health", func() error {
-		h, err := c.Health(ctx)
-		if err != nil {
-			return err
-		}
-		if h.Status != "ok" || h.Scenarios != 1 {
-			return fmt.Errorf("unexpected health %+v", h)
-		}
-		var apiErr *client.APIError
-		if _, err := c.Core(ctx, api.EvalRequest{Scenario: "nope"}); !errors.As(err, &apiErr) || apiErr.Code != "unknown_scenario" {
-			return fmt.Errorf("lookup of unknown scenario: want unknown_scenario, got %v", err)
-		}
-		return nil
-	})
-}
-
-// runStoreSmoke is the durable-store smoke behind `make store-smoke`:
-// register and mutate against a temp-dir store (fsync off), restart
-// cleanly and verify zero WAL replay plus identical answers and the
-// optimistic-concurrency conflict, then crash-restart and verify the WAL
-// tail carries the post-snapshot work.
-func runStoreSmoke(cfg server.Config) error {
-	dir, err := os.MkdirTemp("", "dxserver-store-smoke-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	const setting = `
-source M/2, N/2.
-target E/2, F/2, G/2.
-st:
-  d1: M(x1,x2) -> E(x1,x2).
-  d2: N(x,y) -> exists z1,z2 : E(x,z1) & F(x,z2).
-target-deps:
-  d3: F(y,x) -> exists z : G(x,z).
-  d4: F(x,y) & F(x,z) -> y = z.
-`
-	const source = `M(a,b). N(a,b). N(a,c).`
-
-	step := func(name string, f func() error) error {
-		if err := f(); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		fmt.Printf("  ok: %s\n", name)
-		return nil
-	}
-
-	// start spins up a server over a freshly opened store and returns the
-	// pieces plus a closer that does NOT finalize the store (crash-style).
-	start := func() (*server.Server, *http.Server, *client.Client, *store.Store, func(), error) {
-		st, err := store.Open(dir, store.Options{Fsync: store.SyncOff})
-		if err != nil {
-			return nil, nil, nil, nil, nil, err
-		}
-		scfg := cfg
-		scfg.Store = st
-		srv := server.New(scfg)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, nil, nil, nil, nil, err
-		}
-		hs := &http.Server{Handler: srv}
-		go hs.Serve(ln)
-		return srv, hs, client.New("http://" + ln.Addr().String()), st, func() { hs.Close() }, nil
-	}
-
-	srv1, _, c1, _, kill1, err := start()
-	if err != nil {
-		return err
-	}
-	var firstChase api.ChaseResponse
-	var version uint64
-	if err := step("register + mutate", func() error {
-		if _, err := c1.Register(ctx, api.RegisterRequest{Name: "smoke", Setting: setting, Source: source}); err != nil {
-			return err
-		}
-		res, err := c1.Insert(ctx, "smoke", api.MutateRequest{Tuples: "M(x1,y1)."})
-		if err != nil {
-			return err
-		}
-		version = res.Version
-		firstChase, err = c1.Chase(ctx, api.EvalRequest{Scenario: "smoke"})
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := step("clean shutdown (final snapshot)", func() error {
-		srv1.BeginDrain()
-		kill1()
-		return srv1.CloseStore()
-	}); err != nil {
-		return err
-	}
-
-	_, _, c2, st2, kill2, err := start()
-	if err != nil {
-		return err
-	}
-	if err := step("clean restart replays zero WAL records", func() error {
-		if r := st2.Stats().Replayed; r != 0 {
-			return fmt.Errorf("replayed %d records", r)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := step("recovered scenario answers identically", func() error {
-		res, err := c2.Chase(ctx, api.EvalRequest{Scenario: "smoke"})
-		if err != nil {
-			return err
-		}
-		if res.Universal != firstChase.Universal {
-			return fmt.Errorf("chase diverged:\n%s\nvs\n%s", res.Universal, firstChase.Universal)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := step("stale base_version still conflicts", func() error {
-		var apiErr *client.APIError
-		_, err := c2.Insert(ctx, "smoke", api.MutateRequest{Tuples: "M(q,r).", BaseVersion: version - 1})
-		if !errors.As(err, &apiErr) || apiErr.Code != "conflict" {
-			return fmt.Errorf("want conflict, got %v", err)
-		}
-		_, err = c2.Insert(ctx, "smoke", api.MutateRequest{Tuples: "M(q,r).", BaseVersion: version})
-		return err
-	}); err != nil {
-		return err
-	}
-	// Crash: abandon the server without CloseStore; the WAL tail alone must
-	// carry the post-snapshot mutation.
-	kill2()
-
-	_, _, c3, st3, kill3, err := start()
-	if err != nil {
-		return err
-	}
-	defer kill3()
-	return step("crash restart recovers the WAL tail", func() error {
-		if st3.Stats().Replayed == 0 {
-			return fmt.Errorf("expected replayed WAL records after crash")
-		}
-		info, err := c3.Scenario(ctx, "smoke")
-		if err != nil {
-			return err
-		}
-		if info.Version != version+1 {
-			return fmt.Errorf("recovered version %d, want %d", info.Version, version+1)
-		}
-		h, err := c3.Health(ctx)
-		if err != nil {
-			return err
-		}
-		if !h.Durable || h.StoreScenarios != 1 {
-			return fmt.Errorf("healthz misreports the store: %+v", h)
-		}
-		return nil
-	})
 }

@@ -95,15 +95,3 @@ func countDependencyConstants(s *dependency.Setting) int {
 	}
 	return len(seen)
 }
-
-// StandardBounded runs the standard chase with a budget derived from
-// TerminationBound, falling back to Options.MaxSteps (or the default) for
-// settings that are not weakly acyclic.
-func StandardBounded(s *dependency.Setting, src *instance.Instance, opt Options) (*Result, error) {
-	if bound, ok := TerminationBound(s, len(src.Dom())); ok {
-		if opt.MaxSteps == 0 || bound < opt.MaxSteps {
-			opt.MaxSteps = bound
-		}
-	}
-	return Standard(s, src, opt)
-}

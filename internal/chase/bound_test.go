@@ -22,6 +22,10 @@ func TestTerminationBoundWeaklyAcyclic(t *testing.T) {
 	if res.Steps > bound {
 		t.Fatalf("steps %d exceeded bound %d", res.Steps, bound)
 	}
+	// Huge inputs saturate instead of overflowing.
+	if bound, ok := TerminationBound(s, 1<<30); !ok || bound <= 0 {
+		t.Fatalf("bound must clamp: %d %v", bound, ok)
+	}
 }
 
 func TestTerminationBoundRejectsNonWeaklyAcyclic(t *testing.T) {
@@ -39,17 +43,16 @@ target-deps:
 }
 
 func TestStandardBounded(t *testing.T) {
+	// A saturated TerminationBound is still a usable MaxSteps budget: the
+	// standard chase under it terminates with a solution.
 	s := mustSetting(t, example21)
 	src := mustInstance(t, source21)
-	res, err := StandardBounded(s, src, Options{})
+	bound, _ := TerminationBound(s, 1<<30)
+	res, err := Standard(s, src, Options{MaxSteps: bound})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !IsSolution(s, src, res.Target) {
 		t.Fatal("bounded chase must produce a solution")
-	}
-	// Huge inputs saturate instead of overflowing.
-	if bound, ok := TerminationBound(s, 1<<30); !ok || bound <= 0 {
-		t.Fatalf("bound must clamp: %d %v", bound, ok)
 	}
 }

@@ -76,50 +76,6 @@ func Find(from, to *instance.Instance, opts ...Option) (Mapping, bool) {
 	return CompileSource(from).Find(to, opts...)
 }
 
-// findRef is the interpreted reference finder, kept as ground truth for the
-// randomized crosschecks of the compiled, pruned Search path.
-func findRef(from, to *instance.Instance, opts ...Option) (Mapping, bool) {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	f := &finder{to: to, injective: o.injective, mapping: Mapping{}, used: map[instance.Value]bool{},
-		avoid: o.avoid, hasAvoid: o.hasAvoid}
-	// Seed forced assignments (constants in forced must be identities).
-	for k, v := range o.forced {
-		if k.IsConst() {
-			if k != v {
-				return nil, false
-			}
-			continue
-		}
-		if o.injective && f.used[v] {
-			return nil, false
-		}
-		f.mapping[k] = v
-		f.used[v] = true
-	}
-	if o.injective {
-		// Constants are fixed, so they occupy their own images.
-		for _, c := range from.Consts() {
-			if f.used[c] {
-				// A forced null already maps onto this constant.
-				return nil, false
-			}
-			f.used[c] = true
-		}
-	}
-	atoms := orderAtoms(from.AtomsShared())
-	if !f.search(atoms) {
-		return nil, false
-	}
-	out := make(Mapping, len(f.mapping))
-	for k, v := range f.mapping {
-		out[k] = v
-	}
-	return out, true
-}
-
 // Exists reports whether a homomorphism from → to exists.
 func Exists(from, to *instance.Instance) bool {
 	metrics.HomExists.Inc()
@@ -139,62 +95,6 @@ func FindAll(from, to *instance.Instance, max int) []Mapping {
 		return max <= 0 || len(out) < max
 	})
 	return out
-}
-
-// searchAll enumerates completions; emit receives a copy of the mapping
-// extended to all nulls (unconstrained nulls — those in no atom — cannot
-// occur since the domain is the active domain). Returns false to stop.
-func (f *finder) searchAll(atoms []instance.Atom, nulls []instance.Value, emit func(Mapping) bool) bool {
-	if len(atoms) == 0 {
-		cp := make(Mapping, len(f.mapping))
-		for k, v := range f.mapping {
-			cp[k] = v
-		}
-		return emit(cp)
-	}
-	a := atoms[0]
-	rest := atoms[1:]
-	pattern := make([]instance.Value, len(a.Args))
-	bound := make([]bool, len(a.Args))
-	for i, v := range a.Args {
-		if v.IsConst() {
-			pattern[i] = v
-			bound[i] = true
-		} else if w, ok := f.mapping[v]; ok {
-			pattern[i] = w
-			bound[i] = true
-		}
-	}
-	cont := true
-	f.to.MatchTuples(a.Rel, pattern, bound, func(args []instance.Value) bool {
-		var newly []instance.Value
-		ok := true
-		for i, v := range a.Args {
-			if bound[i] {
-				continue
-			}
-			if w, already := f.mapping[v]; already {
-				if w != args[i] {
-					ok = false
-					break
-				}
-				continue
-			}
-			f.mapping[v] = args[i]
-			newly = append(newly, v)
-		}
-		if ok {
-			cont = f.searchAll(rest, nulls, emit)
-		}
-		if len(newly) > 0 {
-			metrics.HomBacktracks.Inc()
-		}
-		for _, v := range newly {
-			delete(f.mapping, v)
-		}
-		return cont
-	})
-	return cont
 }
 
 // FindOnto searches for a homomorphism from → to whose image is exactly to
@@ -290,89 +190,6 @@ func orderAtomsSeen(atoms []instance.Atom, preBound map[instance.Value]int) []in
 		ordered = append(ordered, a)
 	}
 	return ordered
-}
-
-type finder struct {
-	to        *instance.Instance
-	injective bool
-	mapping   Mapping
-	used      map[instance.Value]bool
-	avoid     instance.Value
-	hasAvoid  bool
-}
-
-// excluded reports whether a candidate image tuple mentions the avoided
-// value.
-func (f *finder) excluded(args []instance.Value) bool {
-	if !f.hasAvoid {
-		return false
-	}
-	for _, v := range args {
-		if v == f.avoid {
-			return true
-		}
-	}
-	return false
-}
-
-func (f *finder) search(atoms []instance.Atom) bool {
-	if len(atoms) == 0 {
-		return true
-	}
-	a := atoms[0]
-	rest := atoms[1:]
-	pattern := make([]instance.Value, len(a.Args))
-	bound := make([]bool, len(a.Args))
-	for i, v := range a.Args {
-		if v.IsConst() {
-			pattern[i] = v
-			bound[i] = true
-		} else if w, ok := f.mapping[v]; ok {
-			pattern[i] = w
-			bound[i] = true
-		}
-	}
-	found := false
-	f.to.MatchTuples(a.Rel, pattern, bound, func(args []instance.Value) bool {
-		if f.excluded(args) {
-			return true
-		}
-		var newly []instance.Value
-		ok := true
-		for i, v := range a.Args {
-			if bound[i] {
-				continue
-			}
-			if w, already := f.mapping[v]; already {
-				if w != args[i] {
-					ok = false
-					break
-				}
-				continue
-			}
-			if f.injective && f.used[args[i]] {
-				ok = false
-				break
-			}
-			f.mapping[v] = args[i]
-			f.used[args[i]] = true
-			newly = append(newly, v)
-		}
-		if ok && f.search(rest) {
-			found = true
-			return false // keep the successful bindings and stop iterating
-		}
-		if len(newly) > 0 {
-			metrics.HomBacktracks.Inc()
-		}
-		for _, v := range newly {
-			w := f.mapping[v]
-			delete(f.mapping, v)
-			delete(f.used, w)
-		}
-		return true
-	})
-	return found
 }
 
 // Isomorphic reports whether the two instances are equal up to renaming of

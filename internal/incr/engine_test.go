@@ -314,9 +314,9 @@ func TestEngineRejectsBadMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := [][]instance.Mutation{
-		{ins("E", c("a"), c("b"))},         // target relation
-		{ins("Nope", c("a"))},              // unknown relation
-		{ins("M", c("a"))},                 // wrong arity
+		{ins("E", c("a"), c("b"))}, // target relation
+		{ins("Nope", c("a"))},      // unknown relation
+		{ins("M", c("a"))},         // wrong arity
 		{{Insert: true, Atom: instance.NewAtom("M", instance.Null(1), c("b"))}}, // null
 	}
 	v0 := e.Version()

@@ -54,9 +54,9 @@ type rowRef struct{ rel, row int32 }
 type relation struct {
 	name  string
 	arity int
-	id    int32 // index into Instance.byID
-	nRows int   // row slots in use, including dead ones
-	nLive int   // live rows
+	id    int32               // index into Instance.byID
+	nRows int                 // row slots in use, including dead ones
+	nLive int                 // live rows
 	cols  [][]Value           // column-major storage: cols[pos][row]
 	live  []uint64            // presence bitmap over row slots
 	byKey map[string]int32    // encoded live tuple -> row

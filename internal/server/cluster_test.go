@@ -210,6 +210,19 @@ func TestClusterConflictThroughAnyEntry(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("mutation at fresh version: %v", err)
 	}
+	// Every entry reads the same post-mutation state.
+	var first []byte
+	for i, n := range nodes {
+		code, _, got := rawDo(t, http.MethodPost, n.url+"/v1/chase", fmt.Sprintf(`{"scenario":%q}`, info.ID))
+		if code != http.StatusOK {
+			t.Fatalf("post-mutation chase via node%d: status %d: %s", i, code, got)
+		}
+		if i == 0 {
+			first = got
+		} else if !bytes.Equal(got, first) {
+			t.Fatalf("post-mutation chase differs between entries:\n%s\nvs\n%s", first, got)
+		}
+	}
 }
 
 func TestClusterReplicatedCacheRevalidates(t *testing.T) {
@@ -333,5 +346,14 @@ func TestClusterHealthz(t *testing.T) {
 	}
 	if hn.Cluster == nil || hn.Cluster.Role != "node" || hn.Cluster.Self != nodes[0].url {
 		t.Fatalf("node health = %+v", hn.Cluster)
+	}
+	text, err := nodes[0].cli.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"cluster_forwards", "cluster_forward_errors", "cluster_cache_hits"} {
+		if !strings.Contains(text, name) {
+			t.Fatalf("/metricsz misses %s", name)
+		}
 	}
 }

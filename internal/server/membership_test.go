@@ -60,27 +60,19 @@ func movedBetween(ids, oldPeers, newPeers []string) []string {
 	return moved
 }
 
-// TestMembershipJoinUnderLoad is the acceptance experiment: a fourth node
-// joins a loaded three-node cluster while readers and a writer keep
-// issuing requests through every entry. Zero requests may fail, only the
-// scenarios whose owner changed may transfer, and a write acknowledged
-// during the window must be readable through any entry afterwards.
-func TestMembershipJoinUnderLoad(t *testing.T) {
-	nodes, _ := startCluster(t, 3, false, server.Config{})
-	ids := registerN(t, nodes, 32)
-	oldPeers := []string{nodes[0].url, nodes[1].url, nodes[2].url}
-
-	// Background load: two readers and one unconditional writer, each
-	// rotating through all three static entries. Every error is fatal to
-	// the test — the transition window must be invisible to clients.
+// runLoad keeps two readers and one unconditional writer busy, each
+// rotating through every entry, with a read-your-writes check through a
+// different entry after each write. The returned stop halts the load and
+// reports the first failed request; acked records each scenario's latest
+// acknowledged version.
+func runLoad(entries []member, ids []string, acked *sync.Map) (stop func() error) {
 	var (
-		loadErr  error
-		errOnce  sync.Once
-		stop     = make(chan struct{})
-		wg       sync.WaitGroup
-		fail     = func(err error) { errOnce.Do(func() { loadErr = err }) }
-		loadCtx  = context.Background()
-		versions sync.Map // id -> latest acked version
+		loadErr error
+		errOnce sync.Once
+		done    = make(chan struct{})
+		wg      sync.WaitGroup
+		fail    = func(err error) { errOnce.Do(func() { loadErr = err }) }
+		ctx     = context.Background()
 	)
 	wg.Add(3)
 	for r := 0; r < 2; r++ {
@@ -88,13 +80,13 @@ func TestMembershipJoinUnderLoad(t *testing.T) {
 			defer wg.Done()
 			for i := seed; ; i++ {
 				select {
-				case <-stop:
+				case <-done:
 					return
 				default:
 				}
 				id := ids[i%len(ids)]
-				entry := nodes[i%len(nodes)]
-				if _, err := entry.cli.Scenario(loadCtx, id); err != nil {
+				entry := entries[i%len(entries)]
+				if _, err := entry.cli.Scenario(ctx, id); err != nil {
 					fail(fmt.Errorf("read %s via %s: %w", id, entry.url, err))
 					return
 				}
@@ -105,13 +97,13 @@ func TestMembershipJoinUnderLoad(t *testing.T) {
 		defer wg.Done()
 		for i := 0; ; i++ {
 			select {
-			case <-stop:
+			case <-done:
 				return
 			default:
 			}
 			id := ids[i%len(ids)]
-			entry := nodes[(i+1)%len(nodes)]
-			res, err := entry.cli.Insert(loadCtx, id, api.MutateRequest{
+			entry := entries[(i+1)%len(entries)]
+			res, err := entry.cli.Insert(ctx, id, api.MutateRequest{
 				Tuples: fmt.Sprintf("M(w%d,w%d).", i, i+1),
 			})
 			if err != nil {
@@ -120,7 +112,7 @@ func TestMembershipJoinUnderLoad(t *testing.T) {
 			}
 			// Read-your-writes through a different entry, immediately —
 			// including while the scenario is mid-handoff.
-			got, err := nodes[(i+2)%len(nodes)].cli.Scenario(loadCtx, id)
+			got, err := entries[(i+2)%len(entries)].cli.Scenario(ctx, id)
 			if err != nil {
 				fail(fmt.Errorf("read-after-write %s: %w", id, err))
 				return
@@ -129,9 +121,30 @@ func TestMembershipJoinUnderLoad(t *testing.T) {
 				fail(fmt.Errorf("read-your-writes violated on %s: wrote %d, read %d", id, res.Version, got.Version))
 				return
 			}
-			versions.Store(id, res.Version)
+			acked.Store(id, res.Version)
 		}
 	}()
+	return func() error {
+		close(done)
+		wg.Wait()
+		return loadErr
+	}
+}
+
+// TestMembershipJoinUnderLoad is the acceptance experiment: a fourth node
+// joins a loaded three-node cluster while readers and a writer keep
+// issuing requests through every entry. Zero requests may fail, only the
+// scenarios whose owner changed may transfer, and a write acknowledged
+// during the window must be readable through any entry afterwards.
+func TestMembershipJoinUnderLoad(t *testing.T) {
+	nodes, _ := startCluster(t, 3, false, server.Config{})
+	ids := registerN(t, nodes, 32)
+	oldPeers := []string{nodes[0].url, nodes[1].url, nodes[2].url}
+
+	// Background load through every static entry: the transition window
+	// must be invisible to clients.
+	var versions sync.Map // id -> latest acked version
+	stopLoad := runLoad(nodes, ids, &versions)
 	// Let the load warm up before the topology changes under it.
 	time.Sleep(50 * time.Millisecond)
 
@@ -161,10 +174,8 @@ func TestMembershipJoinUnderLoad(t *testing.T) {
 	// Keep the load running a moment past the commit, then stop and check
 	// nothing ever failed.
 	time.Sleep(50 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	if loadErr != nil {
-		t.Fatalf("request failed during the membership transition: %v", loadErr)
+	if err := stopLoad(); err != nil {
+		t.Fatalf("request failed during the membership transition: %v", err)
 	}
 
 	// Every member — the joiner included — reports the committed epoch 2
@@ -223,8 +234,9 @@ func TestMembershipJoinUnderLoad(t *testing.T) {
 	}
 }
 
-// TestMembershipDrainLeave drains one member out of a three-node cluster
-// and checks it handed off every scenario it owned, the survivors answer
+// TestMembershipDrainLeave drains one member out of a loaded three-node
+// cluster and checks no request failed, it handed off every scenario it
+// owned, the survivors answer
 // for everything, and even the departed process still routes requests to
 // the new owners.
 func TestMembershipDrainLeave(t *testing.T) {
@@ -241,11 +253,20 @@ func TestMembershipDrainLeave(t *testing.T) {
 		}
 	}
 
+	// The leave runs under load through every entry, the leaver included.
+	var versions sync.Map
+	stopLoad := runLoad(nodes, ids, &versions)
+	time.Sleep(50 * time.Millisecond)
+
 	before := metrics.Read()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := leaver.srv.LeaveCluster(ctx); err != nil {
 		t.Fatalf("leave: %v", err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if err := stopLoad(); err != nil {
+		t.Fatalf("request failed during the drain-leave: %v", err)
 	}
 
 	d := metrics.Read().Diff(before)
@@ -253,12 +274,21 @@ func TestMembershipDrainLeave(t *testing.T) {
 		t.Fatalf("leave transferred %d scenarios, want all %d the leaver owned", got, len(owned))
 	}
 
-	// Every scenario answers through every process — the leaver forwards
-	// with its shrunken committed ring rather than serving stale state.
+	// Every scenario answers through every process, with every write
+	// acknowledged during the leave — the leaver forwards with its shrunken
+	// committed ring rather than serving stale state.
 	for _, id := range ids {
+		var want uint64
+		if v, ok := versions.Load(id); ok {
+			want = v.(uint64)
+		}
 		for i, m := range nodes {
-			if _, err := m.cli.Scenario(context.Background(), id); err != nil {
+			got, err := m.cli.Scenario(context.Background(), id)
+			if err != nil {
 				t.Fatalf("post-leave read of %s via %d: %v", id, i, err)
+			}
+			if got.Version < want {
+				t.Fatalf("entry %d lost writes on %s: acked %d, reads %d", i, id, want, got.Version)
 			}
 		}
 	}

@@ -68,7 +68,10 @@ func scenarioFromState(st *store.State, opt chase.Options) (*scenario, error) {
 	}
 	if sc.weakly {
 		if st.Fixpoint != nil {
-			if eng, err := incr.Resume(s, st.Source, st.Fixpoint, st.Steps); err == nil {
+			// Resume takes ownership of its source and mutates it in
+			// place, while sc.source must stay an immutable snapshot for
+			// lock-free readers: give the engine its own copy.
+			if eng, err := incr.Resume(s, st.Source.Clone(), st.Fixpoint, st.Steps); err == nil {
 				sc.engine = eng
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"testing"
 
 	"repro/internal/hom"
@@ -57,6 +58,9 @@ func TestDurableCleanRestartZeroReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if chased[1], err = c1.Chase(ctx, api.EvalRequest{Scenario: "sc1"}); err != nil {
+		t.Fatal(err)
+	}
 	srv1.BeginDrain()
 	if err := srv1.CloseStore(); err != nil {
 		t.Fatal(err)
@@ -70,11 +74,18 @@ func TestDurableCleanRestartZeroReplay(t *testing.T) {
 	if st2.Stats().Scenarios != 3 {
 		t.Fatalf("recovered %d scenarios, want 3", st2.Stats().Scenarios)
 	}
-	_, _, c2 := newTestServer(t, server.Config{Store: st2})
+	_, ts2, c2 := newTestServer(t, server.Config{Store: st2})
+	h, err := c2.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !h.Durable || h.StoreScenarios != 3 || h.Replayed != 0 {
+		t.Fatalf("healthz after clean restart = %+v, want durable with 3 stored scenarios and 0 replayed", h)
+	}
 
-	// Unmutated scenarios answer byte-identically: the persisted fixpoint is
-	// resumed, not re-derived.
-	for _, i := range []int{0, 2} {
+	// Every scenario, the mutated one included, answers byte-identically:
+	// the persisted fixpoint is resumed, not re-derived.
+	for i := range chased {
 		res, err := c2.Chase(ctx, api.EvalRequest{Scenario: fmt.Sprintf("sc%d", i)})
 		if err != nil {
 			t.Fatal(err)
@@ -83,7 +94,8 @@ func TestDurableCleanRestartZeroReplay(t *testing.T) {
 			t.Fatalf("sc%d chase diverged across clean restart:\n was %+v\n now %+v", i, chased[i], res)
 		}
 	}
-	// The mutated scenario kept its version and identity.
+	// The mutated scenario kept its version and identity, so a stale
+	// base_version still conflicts.
 	info, err := c2.Scenario(ctx, "sc1")
 	if err != nil {
 		t.Fatal(err)
@@ -91,6 +103,8 @@ func TestDurableCleanRestartZeroReplay(t *testing.T) {
 	if info.Version != mres.Version {
 		t.Fatalf("sc1 recovered at version %d, want %d", info.Version, mres.Version)
 	}
+	_, err = c2.Insert(ctx, "sc1", api.MutateRequest{Tuples: "M(q,r).", BaseVersion: mres.Version - 1})
+	wantAPIError(t, err, "conflict", http.StatusConflict)
 	// Re-registering identical content dedupes against the recovered catalog.
 	again, err := c2.Register(ctx, api.RegisterRequest{Setting: quickstartSetting, Source: sourceN(0)})
 	if err != nil {
@@ -98,6 +112,36 @@ func TestDurableCleanRestartZeroReplay(t *testing.T) {
 	}
 	if !again.Existing || again.ID != "sc0" {
 		t.Fatalf("content dedup lost across restart: %+v", again)
+	}
+
+	// Mutate at the current base_version, then crash: recovery replays the
+	// post-snapshot WAL tail on top of the snapshot the clean shutdown wrote.
+	mres2, err := c2.Insert(ctx, "sc1", api.MutateRequest{Tuples: "M(q,r).", BaseVersion: mres.Version})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mres2.Version != mres.Version+1 {
+		t.Fatalf("insert at current base_version gave version %d, want %d", mres2.Version, mres.Version+1)
+	}
+	ts2.Close()
+
+	st3 := openTestStore(t, dir)
+	if st3.Stats().Replayed == 0 {
+		t.Fatal("crash after a snapshot should have replayed the WAL tail")
+	}
+	_, _, c3 := newTestServer(t, server.Config{Store: st3})
+	h, err = c3.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !h.Durable || h.StoreScenarios != 3 || h.Replayed == 0 {
+		t.Fatalf("healthz after crash restart = %+v, want durable with 3 stored scenarios and a replayed WAL tail", h)
+	}
+	if info, err = c3.Scenario(ctx, "sc1"); err != nil {
+		t.Fatal(err)
+	}
+	if info.Version != mres.Version+1 {
+		t.Fatalf("sc1 recovered at version %d after crash, want %d", info.Version, mres.Version+1)
 	}
 }
 

@@ -116,6 +116,17 @@ func main() {
 		}()
 	}
 
+	// Parse the enumerated flags even when the mode that uses them is off,
+	// so a typo fails at boot instead of being ignored.
+	role, err := cluster.ParseRole(*clusterRole)
+	if err != nil {
+		log.Fatalf("dxserver: %v", err)
+	}
+	syncMode, err := store.ParseSyncMode(*fsyncMode)
+	if err != nil {
+		log.Fatalf("dxserver: %v", err)
+	}
+
 	cfg := server.Config{
 		MaxConcurrent:    *maxConcurrent,
 		QueueDepth:       *queueDepth,
@@ -143,10 +154,6 @@ func main() {
 	}
 
 	if *clusterPeers != "" {
-		role, err := cluster.ParseRole(*clusterRole)
-		if err != nil {
-			log.Fatalf("dxserver: %v", err)
-		}
 		cl, err := cluster.New(cluster.Config{
 			Self:  *clusterSelf,
 			Peers: strings.Split(*clusterPeers, ","),
@@ -163,11 +170,7 @@ func main() {
 	}
 
 	if *dataDir != "" {
-		mode, err := store.ParseSyncMode(*fsyncMode)
-		if err != nil {
-			log.Fatalf("dxserver: %v", err)
-		}
-		st, err := store.Open(*dataDir, store.Options{Fsync: mode, FsyncInterval: *fsyncInterval})
+		st, err := store.Open(*dataDir, store.Options{Fsync: syncMode, FsyncInterval: *fsyncInterval})
 		if err != nil {
 			log.Fatalf("dxserver: opening store: %v", err)
 		}

@@ -229,6 +229,8 @@ func TestFlagGuards(t *testing.T) {
 		{"cluster-join without cluster-self", []string{"-cluster-join", "http://127.0.0.1:1"}},
 		{"cluster-self alone", []string{"-cluster-self", "http://127.0.0.1:2"}},
 		{"unknown fsync mode", []string{"-data-dir", t.TempDir(), "-fsync", "sometimes"}},
+		{"unknown fsync mode without data-dir", []string{"-fsync", "bogus"}},
+		{"unknown cluster-role without cluster", []string{"-cluster-role", "bogus"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := startDxserver(t, append([]string{"-addr", "127.0.0.1:0"}, tc.args...)...)

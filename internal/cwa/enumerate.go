@@ -41,8 +41,12 @@ type EnumStats struct {
 	States int
 	// PrunedEgd counts states discarded for violating an egd.
 	PrunedEgd int
-	// PrunedUniversality counts states discarded because their target
-	// reduct already had no homomorphism into the universal solution.
+	// PrunedUniversality counts the subtrees cut because they cannot embed
+	// into the universal solution (Theorem 4.8): witness tuples whose head
+	// atoms hom.PrecheckRefute refutes before the child state is built,
+	// plus states whose target reduct has no homomorphism into it. Constants
+	// the witness filter drops before any tuple is formed (see Enumerate)
+	// are not counted.
 	PrunedUniversality int
 	// Found is the number of CWA-solutions returned (up to isomorphism).
 	Found int
@@ -81,13 +85,17 @@ var ErrEnumerationTruncated = errors.New("cwa: enumeration truncated by limits")
 // The search walks all successful α-chases: states are (instance, partial α)
 // pairs; at each state every justification whose α-value is already chosen
 // is fired to closure, then the first unresolved justification branches over
-// its possible witness tuples. Candidate witness values are the current
-// active domain plus fresh nulls in canonical order — sufficient for
-// CWA-solutions because a universal solution cannot use constants beyond
-// those forced by the source and the dependencies. States violating an egd
-// are pruned (a successful chase never applies an egd, Lemma 4.5). Complete
-// states are filtered by universality (Theorem 4.8) and deduplicated up to
-// isomorphism.
+// its possible witness tuples. Each existential variable ranges over the
+// state's nulls, fresh nulls in canonical order, and only those constants of
+// the active domain that the universal solution carries at every head
+// position the variable occupies. That is sufficient for CWA-solutions: they
+// are universal (Theorem 4.8), so every fired atom maps into the universal
+// solution with its constants fixed, and no other constant can be a witness.
+// Surviving tuples whose head atoms still cannot embed (an absent ground
+// atom, a null with no common image) are refuted before their child state
+// is built. States violating an egd are pruned (a successful chase never
+// applies an egd, Lemma 4.5). Complete states are filtered by universality
+// (Theorem 4.8) and deduplicated up to isomorphism.
 //
 // Branches are expanded by up to opt.Workers goroutines. Solutions are
 // reported in canonical null form, with the lexicographically least member
@@ -545,16 +553,18 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding
 	}
 
 	// Branch over witness tuples for the unresolved justification: each
-	// existential variable takes an existing domain value (source or target)
-	// or a fresh null; fresh nulls are introduced in canonical order to cut
-	// symmetry. Each complete witness explores its subtree on a free worker
-	// if available. Children inherit this state's fixpoint match list
-	// (capacity-trimmed so sibling appends never share a backing slot) and
-	// fire only the justification resolved here.
+	// existential variable takes one of its witness candidates (an existing
+	// null, or a source or target constant the universal solution admits at
+	// the variable's head positions) or a fresh null; fresh nulls are
+	// introduced in canonical order to cut symmetry. Each complete witness
+	// explores its subtree on a free worker if available. Children inherit
+	// this state's fixpoint match list (capacity-trimmed so sibling appends
+	// never share a backing slot) and fire only the justification resolved
+	// here.
 	handoff := matches[:len(matches):len(matches)]
-	dom := mergeDom(e.srcDom, cur.Dom())
 	d := first.d
 	k := len(d.Exists)
+	cands := witnessCandidates(d, mergeDom(e.srcDom, cur.Dom()), e.universal)
 	assign := make([]instance.Value, k)
 	var rec func(i int, freshUsed int64)
 	rec = func(i int, freshUsed int64) {
@@ -597,7 +607,7 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding
 			e.spawnOrWalk(cur.Clone(), alpha2, nextNull+freshUsed, handoff, atoms, base, pending)
 			return
 		}
-		for _, v := range dom {
+		for _, v := range cands[i] {
 			assign[i] = v
 			rec(i+1, freshUsed)
 		}
@@ -612,6 +622,36 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding
 		rec(i+1, freshUsed+1)
 	}
 	rec(0, 0)
+}
+
+// witnessCandidates returns, for each existential variable z of d, the
+// values of dom that z may take, in dom's order: every null, and each
+// constant that u carries at every head position z occupies. A homomorphism
+// fixes constants, so a firing that puts constant c at position p of R can
+// embed into u only if some R-atom of u has c at p; otherwise no state
+// below the firing is universal, and by Theorem 4.8 none is a CWA-solution.
+// PrecheckRefute would refute every such tuple; dropping the value here
+// means the tuples are never built.
+func witnessCandidates(d *dependency.TGD, dom []instance.Value, u *instance.Instance) [][]instance.Value {
+	out := make([][]instance.Value, len(d.Exists))
+	for j, z := range d.Exists {
+		c := make([]instance.Value, 0, len(dom))
+	values:
+		for _, v := range dom {
+			if v.IsConst() {
+				for _, a := range d.Head {
+					for p, t := range a.Terms {
+						if t.Var == z && !u.PosHasValue(a.Rel, p, v) {
+							continue values
+						}
+					}
+				}
+			}
+			c = append(c, v)
+		}
+		out[j] = c
+	}
+	return out
 }
 
 // mergeDom returns the sorted union of two sorted domains (the order of

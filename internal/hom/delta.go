@@ -11,14 +11,13 @@ package hom
 //     immutable, so sibling extensions of one parent are safe, including
 //     concurrently.
 //
-//   - Precheck runs posting-list arc consistency over a raw atom list,
-//     refuting or confirming existence without compiling anything at all:
-//     an empty candidate domain refutes, and when unit propagation leaves
-//     every null a single candidate the forced mapping decides the question.
+//   - PrecheckRefute runs posting-list arc consistency over a raw atom list,
+//     refuting existence without compiling anything at all: an absent ground
+//     atom or an empty candidate domain refutes.
 //
-// Both preserve the answers of the from-scratch path exactly (pinned by the
-// randomized crosscheck in delta_test.go); only the work to reach them
-// changes.
+// Extend preserves the answers of the from-scratch path exactly, and
+// PrecheckRefute only refutes when no homomorphism exists (both pinned by
+// the randomized crosschecks in delta_test.go); only the work changes.
 
 import (
 	"repro/internal/instance"
@@ -120,84 +119,45 @@ func (s *Search) Extend(delta []instance.Atom) *Search {
 	return child
 }
 
-// ACVerdict is the outcome of the posting-list arc-consistency prefilter.
-type ACVerdict int
-
-const (
-	// ACUnknown: the prefilter could not decide; run the compiled search.
-	ACUnknown ACVerdict = iota
-	// ACRefuted: no homomorphism exists (some atom or null cannot embed).
-	ACRefuted
-	// ACConfirmed: a homomorphism exists; unit propagation forced it.
-	ACConfirmed
-)
-
-// Precheck decides homomorphism existence from atoms into to using only the
-// target's per-position posting indexes, without compiling a search:
-//
-//   - ACRefuted when some ground atom is absent, some constant never occurs
-//     at a position it must map to, or some null's candidate domain (the
-//     values occurring at every position the null occupies) is empty — the
-//     same emptiness condition as the compiled search's arc-consistency
-//     pass, plus the ground-atom checks the search would discover by
-//     scanning.
-//
-//   - ACConfirmed when every null's candidate domain is a singleton: the
-//     mapping is forced, and it embeds every atom. The returned Mapping is
-//     that homomorphism (it covers exactly the nulls occurring in atoms).
-//
-//   - ACUnknown otherwise; a subsequent compiled Find's arc-consistency
-//     pass is then provably redundant (pass NoACPrune).
-//
-// Decisive outcomes are counted in metrics.HomACRefutes/HomACConfirms.
-func Precheck(atoms []instance.Atom, to *instance.Instance) (ACVerdict, Mapping) {
-	return precheck(atoms, to, 0, false, false)
-}
-
-// PrecheckAvoiding is Precheck under the Avoiding(avoid) option: existence
-// of a homomorphism whose image mentions avoid nowhere. Candidate domains
-// exclude avoid, and a confirmed mapping's image atoms are checked to avoid
-// it — matching Find(..., Avoiding(avoid)) exactly.
-func PrecheckAvoiding(atoms []instance.Atom, to *instance.Instance, avoid instance.Value) (ACVerdict, Mapping) {
-	return precheck(atoms, to, avoid, true, false)
-}
-
 // PrecheckRefute reports that no homomorphism from atoms into to exists,
-// by arc consistency alone (Precheck's ACRefuted outcome; false means
-// undecided, not existence). It never attempts the confirm side, so domain
-// scans stop at the first survivor — the cheap embeddability filter
-// cwa.Enumerate runs on a candidate firing's head atoms before materializing
-// the child state: the head atoms are a subset of every instance in the
-// child's subtree, so their non-embeddability into the universal solution
-// refutes universality for the whole subtree.
+// using only the target's per-position posting indexes, without compiling a
+// search (false means undecided, not existence). It refutes when
+//
+//   - some atom's relation is empty or of another arity in to,
+//   - some constant never occurs at a position it must map to,
+//   - some ground atom is absent from to, or
+//   - some null's candidate domain (the values occurring at every position
+//     the null occupies) is empty: the compiled search's arc-consistency
+//     emptiness condition, with domain scans stopping at the first survivor.
+//
+// cwa.Enumerate runs it on a candidate firing's head atoms before
+// materializing the child state: the head atoms are a subset of every
+// instance in the child's subtree, so their non-embeddability into the
+// universal solution refutes universality for the whole subtree. Refutes are
+// counted in metrics.HomACRefutes.
 func PrecheckRefute(atoms []instance.Atom, to *instance.Instance) bool {
-	v, _ := precheck(atoms, to, 0, false, true)
-	return v == ACRefuted
-}
-
-func precheck(atoms []instance.Atom, to *instance.Instance, avoid instance.Value, hasAvoid, refuteOnly bool) (ACVerdict, Mapping) {
-	refute := func() (ACVerdict, Mapping) {
+	refute := func() bool {
 		metrics.HomACRefutes.Inc()
-		return ACRefuted, nil
+		return true
 	}
 	// Gather each null's distinct (rel,pos) occurrences, in first-occurrence
-	// order, and refute on the spot for constants and missing relations.
+	// order, and refute on the spot for constants, ground atoms and missing
+	// relations.
 	occs := make(map[instance.Value][]searchOcc)
 	var order []instance.Value
 	for _, a := range atoms {
 		if to.Arity(a.Rel) != len(a.Args) || to.RelLen(a.Rel) == 0 {
 			return refute()
 		}
+		ground := true
 		for i, v := range a.Args {
 			if v.IsConst() {
-				if hasAvoid && v == avoid {
-					return refute()
-				}
 				if !to.PosHasValue(a.Rel, i, v) {
 					return refute()
 				}
 				continue
 			}
+			ground = false
 			l, seen := occs[v]
 			if !seen {
 				order = append(order, v)
@@ -213,19 +173,12 @@ func precheck(atoms []instance.Atom, to *instance.Instance, avoid instance.Value
 				occs[v] = append(l, searchOcc{rel: a.Rel, pos: i})
 			}
 		}
+		// Every constant occurring at its position separately does not put
+		// the whole tuple in to: E(a,v) is absent from {E(a,b), E(u,v)}.
+		if ground && !to.Has(a) {
+			return refute()
+		}
 	}
-	// Per-null candidate domains, counted up to two survivors: zero refutes,
-	// one forces the image, two or more leaves the question to the search.
-	// A refute-only caller stops at the first survivor and never confirms.
-	enough := 2
-	if refuteOnly {
-		enough = 1
-	}
-	var forced Mapping
-	if !refuteOnly {
-		forced = make(Mapping, len(order))
-	}
-	undecided := false
 	for _, n := range order {
 		os := occs[n]
 		base := os[0]
@@ -234,59 +187,19 @@ func precheck(atoms []instance.Atom, to *instance.Instance, avoid instance.Value
 				base = o
 			}
 		}
-		survivors := 0
-		var single instance.Value
+		survives := false
 		to.EachPosValue(base.rel, base.pos, func(v instance.Value, _ int) bool {
-			if hasAvoid && v == avoid {
-				return true
-			}
 			for _, o := range os {
-				if o == base {
-					continue
-				}
-				if !to.PosHasValue(o.rel, o.pos, v) {
+				if o != base && !to.PosHasValue(o.rel, o.pos, v) {
 					return true
 				}
 			}
-			survivors++
-			single = v
-			return survivors < enough
+			survives = true
+			return false
 		})
-		if survivors == 0 {
-			return refute()
-		}
-		if refuteOnly {
-			continue
-		}
-		if survivors >= 2 {
-			undecided = true
-			continue
-		}
-		forced[n] = single
-	}
-	if refuteOnly || undecided {
-		return ACUnknown, nil
-	}
-	// Every domain is a singleton (vacuously for ground sources): the only
-	// candidate homomorphism is forced, so presence of its image atoms
-	// decides existence either way.
-	buf := make([]instance.Value, 0, 8)
-	for _, a := range atoms {
-		args := buf[:0]
-		for _, v := range a.Args {
-			args = append(args, forced.Apply(v))
-		}
-		if hasAvoid {
-			for _, v := range args {
-				if v == avoid {
-					return refute()
-				}
-			}
-		}
-		if !to.Has(instance.Atom{Rel: a.Rel, Args: args}) {
+		if !survives {
 			return refute()
 		}
 	}
-	metrics.HomACConfirms.Inc()
-	return ACConfirmed, forced
+	return false
 }

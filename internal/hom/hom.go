@@ -40,7 +40,6 @@ type options struct {
 	forced    Mapping
 	avoid     instance.Value
 	hasAvoid  bool
-	skipAC    bool
 }
 
 // Option customises Find.
@@ -58,12 +57,6 @@ func Forced(m Mapping) Option { return func(o *options) { o.forced = m } }
 func Avoiding(v instance.Value) Option {
 	return func(o *options) { o.avoid = v; o.hasAvoid = true }
 }
-
-// NoACPrune skips Find's arc-consistency prepass. Sound only when the caller
-// has already established that no candidate domain is empty — e.g. a
-// Precheck over the same source atoms, target and avoided value returned
-// ACUnknown, whose emptiness test subsumes the prepass exactly.
-func NoACPrune() Option { return func(o *options) { o.skipAC = true } }
 
 // Find searches for a homomorphism from one instance to another. It returns
 // the mapping restricted to the nulls of from (constants are implicitly

@@ -171,18 +171,15 @@ func (s *Search) Exists(to *instance.Instance, opts ...Option) bool {
 // atoms decides the question either way — no backtracking at all. Only when
 // some domain keeps two or more survivors does the backtracking search run
 // (with its own arc-consistency pass skipped; the decision pass subsumes
-// it). This is Precheck over the compiled form: same outcomes, but reusing
-// the search's slot and occurrence tables instead of re-deriving them from
-// raw atoms. Decisive outcomes are counted in
-// metrics.HomACRefutes/HomACConfirms.
+// it). Decisive outcomes are counted in metrics.HomACRefutes/HomACConfirms.
 func (s *Search) ExistsAC(to *instance.Instance) bool {
 	metrics.HomExists.Inc()
 	st := s.state()
 	defer s.release(st)
 	switch s.acDecide(to, st) {
-	case ACRefuted:
+	case acRefuted:
 		return false
-	case ACConfirmed:
+	case acConfirmed:
 		return true
 	}
 	return s.search(to, st, 0)
@@ -200,9 +197,9 @@ func (s *Search) FindAvoidingAC(to *instance.Instance, avoid instance.Value) (Ma
 	defer s.release(st)
 	st.avoid, st.hasAvoid = avoid, true
 	switch s.acDecide(to, st) {
-	case ACRefuted:
+	case acRefuted:
 		return nil, false
-	case ACUnknown:
+	case acUnknown:
 		if !s.search(to, st, 0) {
 			return nil, false
 		}
@@ -214,12 +211,24 @@ func (s *Search) FindAvoidingAC(to *instance.Instance, avoid instance.Value) (Ma
 	return out, true
 }
 
+// acVerdict is the outcome of acDecide's arc-consistency pass.
+type acVerdict int
+
+const (
+	// acUnknown: the pass could not decide; run the backtracking search.
+	acUnknown acVerdict = iota
+	// acRefuted: no homomorphism exists (some atom or slot cannot embed).
+	acRefuted
+	// acConfirmed: a homomorphism exists; unit propagation forced it.
+	acConfirmed
+)
+
 // acDecide runs the decision-mode arc-consistency pass for ExistsAC and
-// FindAvoidingAC, recording singleton domains into st.env (on ACConfirmed,
+// FindAvoidingAC, recording singleton domains into st.env (on acConfirmed,
 // st.env holds the complete forced assignment). Stale env entries are
-// harmless on ACUnknown: the subsequent search rebinds every slot at its
+// harmless on acUnknown: the subsequent search rebinds every slot at its
 // binding atom before any fill reads it.
-func (s *Search) acDecide(to *instance.Instance, st *searchState) ACVerdict {
+func (s *Search) acDecide(to *instance.Instance, st *searchState) acVerdict {
 	allSingle := true
 	for slot, occs := range s.occs {
 		if len(occs) == 0 {
@@ -251,7 +260,7 @@ func (s *Search) acDecide(to *instance.Instance, st *searchState) ACVerdict {
 		})
 		if survivors == 0 {
 			metrics.HomACRefutes.Inc()
-			return ACRefuted
+			return acRefuted
 		}
 		if survivors >= 2 {
 			allSingle = false
@@ -260,7 +269,7 @@ func (s *Search) acDecide(to *instance.Instance, st *searchState) ACVerdict {
 		st.env[slot] = single
 	}
 	if !allSingle {
-		return ACUnknown
+		return acUnknown
 	}
 	// Every domain is a singleton (vacuously for ground sources): presence of
 	// the forced assignment's image atoms decides existence either way.
@@ -280,17 +289,17 @@ func (s *Search) acDecide(to *instance.Instance, st *searchState) ACVerdict {
 			for _, v := range pat {
 				if v == st.avoid {
 					metrics.HomACRefutes.Inc()
-					return ACRefuted
+					return acRefuted
 				}
 			}
 		}
 		if !to.Has(instance.Atom{Rel: a.rel, Args: pat}) {
 			metrics.HomACRefutes.Inc()
-			return ACRefuted
+			return acRefuted
 		}
 	}
 	metrics.HomACConfirms.Inc()
-	return ACConfirmed
+	return acConfirmed
 }
 
 func (s *Search) state() *searchState {
@@ -369,7 +378,7 @@ func (s *Search) Find(to *instance.Instance, opts ...Option) (Mapping, bool) {
 			st.used[c] = true
 		}
 	}
-	if !o.skipAC && s.pruned(to, st) {
+	if s.pruned(to, st) {
 		return nil, false
 	}
 	if !s.search(to, st, 0) {

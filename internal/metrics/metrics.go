@@ -58,9 +58,10 @@ var (
 	// HomExists counts homomorphism-existence queries (hom.Exists and
 	// Search.Exists), the universality checks of cwa.Enumerate among them.
 	HomExists = register("hom_exists")
-	// HomACRefutes counts existence checks refuted by the posting-list
-	// arc-consistency prefilter (hom.Precheck) without compiling a search:
-	// some atom or null of the source provably cannot embed into the target.
+	// HomACRefutes counts existence checks refuted by posting-list arc
+	// consistency without backtracking (hom.PrecheckRefute, or the decision
+	// pass of Search.ExistsAC and FindAvoidingAC): some atom or null of the
+	// source provably cannot embed into the target.
 	HomACRefutes = register("hom_ac_refutes")
 	// HomACConfirms counts existence checks confirmed by the prefilter
 	// without search: unit propagation left every null a single candidate

@@ -21,7 +21,10 @@
 // delta-chase, deletes retract through the justification graph — and the
 // final maintained solution is printed. With -crosscheck the result is
 // verified against a from-scratch chase of the mutated source
-// (hom-equivalence both ways plus core isomorphism).
+// (hom-equivalence both ways plus core isomorphism). Settings that are not
+// weakly acyclic are accepted too: their chase may not terminate, so the
+// engine skips the initial chase and chases only the mutated source, under
+// -max-steps and -timeout.
 //
 // Every command also accepts -max-steps (chase step budget), -timeout
 // (wall-clock limit; the run aborts with ErrCanceled), -workers (goroutines
@@ -278,9 +281,6 @@ func runApply(s *repro.Setting, src *repro.Instance, path string, crosscheck boo
 	}
 	eng, err := incr.New(s, src, opt)
 	if err != nil {
-		if errors.Is(err, incr.ErrNotIncremental) {
-			err = status.WithKind(err, status.Usage)
-		}
 		fatal(err)
 	}
 	res, err := eng.Apply(muts, opt)

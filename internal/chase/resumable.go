@@ -47,9 +47,8 @@ type Resumable struct {
 	nulls *instance.NullSource
 	obs   Observer
 
-	steps  int
-	merges int
-	trace  []Step
+	steps int
+	trace []Step
 
 	stc     *stCache
 	tracker *deltaTracker
@@ -100,12 +99,6 @@ func (r *Resumable) Target() *instance.Instance { return r.cur.Reduct(r.s.Target
 
 // Steps returns the total dependency applications across all runs.
 func (r *Resumable) Steps() int { return r.steps }
-
-// Merges returns the total egd applications across all runs. A non-zero
-// count means values have been identified, which invalidates externally
-// kept per-atom bookkeeping (the incr engine falls back to a re-chase on
-// deletions in that case).
-func (r *Resumable) Merges() int { return r.merges }
 
 // Extend inserts the given null-free source atoms and chases the
 // consequences: new s-t matches are found by a semi-naive delta join
@@ -240,7 +233,6 @@ func (r *Resumable) egdPass(opt Options) (bool, error) {
 			return false, err
 		}
 		r.steps++
-		r.merges++
 		metrics.ChaseSteps.Inc()
 		if r.obs != nil {
 			r.obs.EgdApplied(d.Name, winner, loser)

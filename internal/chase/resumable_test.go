@@ -143,7 +143,7 @@ target-deps:
 `)
 	src := mustInstance(t, `S(a). T(a,b).`)
 	obs := &countingObserver{}
-	r, err := NewResumable(s, src, Options{}, obs)
+	_, err := NewResumable(s, src, Options{}, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,9 +153,6 @@ target-deps:
 	// d3 merges d1's null into b.
 	if obs.egds == 0 {
 		t.Fatal("observer saw no egd applications")
-	}
-	if r.Merges() != obs.egds {
-		t.Fatalf("Merges() = %d, observer counted %d", r.Merges(), obs.egds)
 	}
 	// Every observed insertion must be in the final instance or have been
 	// rewritten by a merge; at minimum the counts are sane.

@@ -358,18 +358,9 @@ func (c *Cluster) Proposed() (View, bool) {
 	return View{Epoch: v.prop.Epoch, Members: append([]string(nil), v.prop.Members...)}, true
 }
 
-// Transitioning reports whether a transfer window is open.
-func (c *Cluster) Transitioning() bool { return c.v.Load().prop != nil }
-
 // Owner returns the base URL of the node owning the scenario identity key
 // in the committed view.
 func (c *Cluster) Owner(key string) string { return c.v.Load().ring.Owner(key) }
-
-// Owns reports whether this member serves key locally in the committed
-// view. Routers own nothing.
-func (c *Cluster) Owns(key string) bool {
-	return c.role == RoleNode && c.v.Load().ring.Owner(key) == c.self
-}
 
 // Self returns this member's normalized base URL.
 func (c *Cluster) Self() string { return c.self }

@@ -14,6 +14,12 @@ func mustNew(t *testing.T, self string, peers []string) *Cluster {
 	return c
 }
 
+// transitioning reports whether c has a transfer window open.
+func transitioning(c *Cluster) bool {
+	_, open := c.Proposed()
+	return open
+}
+
 var threePeers = []string{"http://a:1", "http://b:1", "http://c:1"}
 
 // TestStaticBootIsEpochOne pins the backward-compatible boot: a statically
@@ -24,7 +30,7 @@ func TestStaticBootIsEpochOne(t *testing.T) {
 	if c.Epoch() != 1 {
 		t.Fatalf("epoch = %d, want 1", c.Epoch())
 	}
-	if c.Transitioning() {
+	if transitioning(c) {
 		t.Fatal("fresh member reports an open transition")
 	}
 	cur := c.Current()
@@ -53,8 +59,8 @@ func TestJoiningBootIsEmptyEpochZero(t *testing.T) {
 	if got := c.Owner("k"); got != "" {
 		t.Fatalf("empty ring owner = %q, want none", got)
 	}
-	if c.Owns("k") {
-		t.Fatal("joiner claims ownership before joining")
+	if rt := c.RouteKey("k"); rt.Owner == c.Self() || rt.Moving {
+		t.Fatalf("joiner routes k to %+v before joining", rt)
 	}
 }
 
@@ -70,7 +76,7 @@ func TestProposeCommitMovesExactlyTheMinimalKeys(t *testing.T) {
 	if err := c.Propose(cur, prop); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Transitioning() {
+	if !transitioning(c) {
 		t.Fatal("no window open after propose")
 	}
 
@@ -105,8 +111,8 @@ func TestProposeCommitMovesExactlyTheMinimalKeys(t *testing.T) {
 	if err := c.Commit(2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if c.Epoch() != 2 || c.Transitioning() {
-		t.Fatalf("after commit: epoch=%d transitioning=%v", c.Epoch(), c.Transitioning())
+	if c.Epoch() != 2 || transitioning(c) {
+		t.Fatalf("after commit: epoch=%d transitioning=%v", c.Epoch(), transitioning(c))
 	}
 	for i := 0; i < 50; i++ {
 		key := "post-" + string(rune('a'+i))
@@ -127,8 +133,8 @@ func TestAbortRestoresTheCommittedView(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Abort(2)
-	if c.Transitioning() || c.Epoch() != 1 || c.RingVersion() != before {
-		t.Fatalf("abort did not restore: epoch=%d transitioning=%v", c.Epoch(), c.Transitioning())
+	if transitioning(c) || c.Epoch() != 1 || c.RingVersion() != before {
+		t.Fatalf("abort did not restore: epoch=%d transitioning=%v", c.Epoch(), transitioning(c))
 	}
 	// Aborting a non-open epoch is a no-op.
 	c.Abort(7)

@@ -84,7 +84,7 @@ func TestClusterOwnershipAgreesAcrossMembers(t *testing.T) {
 			if m.Owner(k) != want {
 				t.Fatalf("member %s maps %q to %s, others to %s", m.Self(), k, m.Owner(k), want)
 			}
-			if m.Owns(k) {
+			if m.Role() == RoleNode && m.RouteKey(k).Owner == m.Self() {
 				owners++
 			}
 		}

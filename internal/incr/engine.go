@@ -12,7 +12,9 @@
 // (values were identified across the instance), so deletions fall back to
 // a bounded full re-chase; the same fallback covers settings with
 // non-monotone (general FO) s-t bodies, whose matches cannot be
-// maintained by a delta join.
+// maintained by a delta join. Settings that are not weakly acyclic have no
+// guaranteed fixpoint: the engine chases them only when read, and a
+// mutation resets them to unchased.
 //
 // Correctness target: after every mutation batch the maintained instance
 // is a universal solution for the current source — hom-equivalent to a
@@ -25,7 +27,6 @@
 package incr
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -36,51 +37,58 @@ import (
 	"repro/internal/metrics"
 )
 
-// ErrNotIncremental reports that the setting cannot be maintained by this
-// engine: its chase is not guaranteed to terminate (not weakly acyclic),
-// so there is no fixpoint to maintain.
-var ErrNotIncremental = errors.New("incr: setting is not weakly acyclic")
-
 // Engine maintains the chase result of one (setting, source) pair under
 // source mutations. All methods are safe for concurrent use; mutations are
-// serialized internally. Reads of a served fixpoint share the lock, so a
+// serialized internally. Reads of a held fixpoint share the lock, so a
 // long evaluation in View delays mutations but no other reader, and
-// Version takes no lock at all.
+// Version and SourceSnapshot take no lock at all.
+//
+// The engine is in one of three states: chased (res holds a chase
+// fixpoint), no-solution (noSol holds the egd failure), or unchased (both
+// nil). Settings whose chase is guaranteed to terminate (weakly acyclic,
+// Proposition 6.6) are chased eagerly by New and by every mutation. Any
+// other setting stays unchased until a read chases it under that read's
+// budget and deadline, and a mutation resets it to unchased. A chase that
+// stops early (budget or deadline) keeps no partial state: the engine is
+// left unchased and the next read starts from the source, so a
+// non-terminating chase cannot accumulate across requests.
 type Engine struct {
-	// mu is held exclusively by Apply and by the repairs ensure makes, and
-	// shared by reads of a state that needs none.
+	// mu is held exclusively by Apply and by a read that has to chase, and
+	// shared by reads of a chased or no-solution state.
 	mu sync.RWMutex
-	// version mirrors source.Version() for lock-free reads; Apply stores
-	// it under mu.
-	version atomic.Uint64
 
 	s *dependency.Setting
-	// maintainable reports that every s-t tgd body is conjunctive, the
-	// precondition for delta-chasing inserts (FO bodies are non-monotone).
+	// weakly reports that the setting is weakly acyclic, so its chase
+	// terminates and is run eagerly.
+	weakly bool
+	// maintainable reports that mutations can be maintained incrementally:
+	// the setting is weakly acyclic and every s-t tgd body is conjunctive
+	// (FO bodies are non-monotone, so inserts cannot be delta-chased).
 	maintainable bool
 
-	source *instance.Instance // owned clone; never exposed directly
-	res    *chase.Resumable   // nil while noSol != nil
-	g      *graph             // nil when !maintainable
+	// source is the current source instance. It is never modified in
+	// place: Apply publishes a new instance, so a loaded pointer is an
+	// immutable snapshot that needs no lock.
+	source atomic.Pointer[instance.Instance]
+	res    *chase.Resumable // nil while unchased or noSol != nil
+	g      *graph           // nil when !maintainable
 
 	// merged is set when any egd application has rewritten values since
 	// the last rebuild: the justification graph's atom identities are then
 	// stale and deletions fall back to a re-chase.
 	merged bool
-	// dirty is set when the last run stopped early (budget or deadline):
-	// the instance is mid-chase and must be re-saturated or rebuilt before
-	// it is served.
-	dirty bool
 	// noSol holds the egd-failure error when the current source has no
 	// solution. The engine stays usable: later mutations can remove the
 	// offending tuples, which triggers a rebuild.
 	noSol error
 
-	// Snapshots memoised until the next mutation. They are atomic because
-	// readers holding mu shared fill them; whoever clears them holds mu
-	// exclusively.
-	srcSnap atomic.Pointer[instance.Instance] // source snapshot
-	uniSnap atomic.Pointer[instance.Instance] // universal solution (τ-reduct)
+	// uniSnap memoises Solution's τ-reduct until the next state change. It
+	// is atomic because readers holding mu shared fill it; whoever clears
+	// it holds mu exclusively.
+	uniSnap atomic.Pointer[instance.Instance]
+	// status is what Status reports, republished under mu exclusively by
+	// every state change so that Status needs no lock.
+	status atomic.Pointer[Status]
 }
 
 // ApplyResult reports what a mutation batch did.
@@ -103,29 +111,40 @@ type ApplyResult struct {
 	Atoms int
 }
 
-// New builds an engine for the setting and source and runs the initial
-// chase. Only weakly acyclic settings are accepted (ErrNotIncremental
-// otherwise). An egd failure is not an error here: the engine records the
-// no-solution state, which mutations may later repair; Solution reports
-// it. Budget/cancel errors from opt are returned and leave the engine
-// dirty; it re-saturates on the next use.
+// New builds an engine for the setting and source. The engine keeps its
+// own copy of src. A weakly acyclic setting is chased right away under
+// opt; any other setting is left unchased for the first read. An egd
+// failure is not an error here: the engine records the no-solution state,
+// which mutations may later repair; Solution reports it. A budget or
+// cancellation error from opt is returned beside the engine, which is then
+// unchased and chases again on the next read.
 func New(s *dependency.Setting, src *instance.Instance, opt chase.Options) (*Engine, error) {
-	if !s.WeaklyAcyclic() {
-		return nil, ErrNotIncremental
+	e, err := newEngine(s, src.Clone())
+	if err != nil {
+		return nil, err
 	}
+	if e.weakly {
+		return e, e.rebuild(opt)
+	}
+	return e, nil
+}
+
+// newEngine builds an unchased engine that owns src.
+func newEngine(s *dependency.Setting, src *instance.Instance) (*Engine, error) {
 	if src.HasNulls() {
 		return nil, fmt.Errorf("incr: source instance must be null-free")
 	}
-	maintainable := true
+	e := &Engine{s: s, weakly: s.WeaklyAcyclic()}
+	e.maintainable = e.weakly
 	for _, d := range s.ST {
 		if d.BodyAtoms == nil {
-			maintainable = false
+			e.maintainable = false
 			break
 		}
 	}
-	e := &Engine{s: s, maintainable: maintainable, source: src.Clone()}
-	e.version.Store(e.source.Version())
-	return e, e.rebuild(opt)
+	e.source.Store(src)
+	e.status.Store(&Status{})
+	return e, nil
 }
 
 // observer routes chase callbacks into the engine's justification graph.
@@ -143,65 +162,59 @@ func (o observer) EgdApplied(dep string, winner, loser instance.Value) {
 	o.e.merged = true
 }
 
-// rebuild chases the current source from scratch, resetting the graph and
-// all failure state. Callers hold e.mu (or own e exclusively, as New does).
-func (e *Engine) rebuild(opt chase.Options) error {
-	e.merged = false
-	e.dirty = false
-	e.noSol = nil
+// reset drops the chase state, leaving the engine unchased. Callers hold
+// e.mu (or own e exclusively) and publish once the state change is done.
+func (e *Engine) reset() {
 	e.res = nil
-	e.srcSnap.Store(nil)
+	e.g = nil
+	e.merged = false
+	e.noSol = nil
 	e.uniSnap.Store(nil)
+}
+
+// publish records the chase state for Status. σ and τ are disjoint and
+// the chase adds no source atoms, so the τ-reduct's size is the
+// fixpoint's less the source's. Callers hold e.mu exclusively (or own e).
+func (e *Engine) publish() {
+	st := Status{}
+	if e.res != nil {
+		st = Status{Chased: true, Steps: e.res.Steps(), Atoms: e.res.Instance().Len() - e.source.Load().Len()}
+	}
+	e.status.Store(&st)
+}
+
+// rebuild chases the current source from scratch. An egd failure records
+// the no-solution state and is not returned; a budget or cancellation
+// error is returned and leaves the engine unchased. Callers hold e.mu (or
+// own e exclusively, as New does).
+func (e *Engine) rebuild(opt chase.Options) error {
+	defer e.publish()
+	e.reset()
 	var obs chase.Observer
 	if e.maintainable {
 		e.g = newGraph()
 		obs = observer{e}
 	}
-	r, err := chase.NewResumable(e.s, e.source, opt, obs)
-	if err != nil {
-		if chase.IsEgdFailure(err) {
-			e.noSol = err
-			return nil // a known no-solution state is consistent, not broken
-		}
-		e.res = r // partial state; a later ReSaturate can finish it
-		e.dirty = true
+	r, err := chase.NewResumable(e.s, e.source.Load(), opt, obs)
+	switch {
+	case err == nil:
+		e.res = r
+	case chase.IsEgdFailure(err):
+		e.noSol = err
+	default:
+		e.reset() // keep no partial state
 		return err
 	}
-	e.res = r
 	return nil
 }
 
-// ensure brings the engine to a served-state fixpoint: re-saturates a
-// dirty (interrupted) chase or reports the recorded no-solution error.
-// Callers hold e.mu.
-func (e *Engine) ensure(opt chase.Options) error {
-	if e.noSol != nil {
-		return e.noSol
-	}
-	if e.res == nil {
-		return e.rebuildReporting(opt)
-	}
-	if e.dirty {
-		if err := e.res.ReSaturate(opt); err != nil {
-			if chase.IsEgdFailure(err) {
-				e.noSol = err
-				e.res = nil
-				return e.noSol
-			}
-			return err
-		}
-		e.dirty = false
-		e.uniSnap.Store(nil)
-	}
-	return nil
-}
-
-// read runs f on a served fixpoint. When the state needs no repair, f runs
-// under the shared lock, beside other readers; otherwise the state is
-// repaired by ensure and f runs under the exclusive lock.
+// read runs f on a chase fixpoint. A chased engine runs f under the shared
+// lock, beside other readers; an unchased one is chased under opt and the
+// exclusive lock first. The recorded egd failure is returned instead of
+// running f when the source has no solution.
 func (e *Engine) read(opt chase.Options, f func()) error {
 	e.mu.RLock()
-	if e.noSol != nil || (e.res != nil && !e.dirty) {
+	if e.res != nil || e.noSol != nil {
 		defer e.mu.RUnlock()
 		if e.noSol != nil {
 			return e.noSol
@@ -212,47 +225,36 @@ func (e *Engine) read(opt chase.Options, f func()) error {
 	e.mu.RUnlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.ensure(opt); err != nil {
-		return err
+	if e.res == nil && e.noSol == nil {
+		if err := e.rebuild(opt); err != nil {
+			return err
+		}
+	}
+	if e.noSol != nil {
+		return e.noSol
 	}
 	f()
 	return nil
 }
 
-// rebuildReporting is rebuild plus the no-solution check, for paths that
-// must hand an error to a caller expecting a solution.
-func (e *Engine) rebuildReporting(opt chase.Options) error {
-	if err := e.rebuild(opt); err != nil {
-		return err
-	}
-	return e.noSol
-}
-
 // Version returns the monotone source version: it advances by one for
 // every source atom actually inserted or removed.
-func (e *Engine) Version() uint64 { return e.version.Load() }
+func (e *Engine) Version() uint64 { return e.source.Load().Version() }
 
-// Maintainable reports whether inserts can be delta-chased (every s-t body
-// conjunctive). Non-maintainable engines resolve every mutation by full
-// re-chase.
+// Maintainable reports whether mutations are maintained incrementally
+// (weakly acyclic, every s-t body conjunctive). Other engines resolve every
+// mutation by a full re-chase, or by a reset to unchased when the setting
+// is not weakly acyclic.
 func (e *Engine) Maintainable() bool { return e.maintainable }
 
-// SourceSnapshot returns an immutable snapshot of the current source
-// instance. The snapshot is memoized until the next mutation.
-func (e *Engine) SourceSnapshot() *instance.Instance {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	snap := e.srcSnap.Load()
-	if snap == nil {
-		snap = e.source.Clone()
-		e.srcSnap.Store(snap)
-	}
-	return snap
-}
+// SourceSnapshot returns the current source instance. It is immutable
+// (Apply publishes a new one) and is read without locking, so it never
+// waits on an in-flight mutation.
+func (e *Engine) SourceSnapshot() *instance.Instance { return e.source.Load() }
 
 // Solution returns an immutable snapshot of the maintained universal
-// solution (the τ-reduct of the chase fixpoint), re-saturating first if an
-// earlier run was interrupted. It fails with the recorded egd failure when
+// solution (the τ-reduct of the chase fixpoint), chasing first under opt
+// if the engine is unchased. It fails with the recorded egd failure when
 // the current source has no solution. The snapshot is memoized until the
 // next mutation.
 func (e *Engine) Solution(opt chase.Options) (*instance.Instance, error) {
@@ -269,7 +271,7 @@ func (e *Engine) Solution(opt chase.Options) (*instance.Instance, error) {
 
 // View calls f with the maintained universal solution in place: the
 // τ-reduct of the chase fixpoint as a read-only view that shares the
-// engine's storage (instance.ReductView), after the same re-saturation and
+// engine's storage (instance.ReductView), after the same chase and
 // no-solution check as Solution. Unlike Solution it copies and memoises
 // nothing. f runs under the engine's lock, shared with other readers, so
 // mutations wait for it but Version, snapshots and other views do not; f
@@ -279,25 +281,29 @@ func (e *Engine) View(opt chase.Options, f func(*instance.Instance)) error {
 	return e.read(opt, func() { f(e.res.Instance().ReductView(e.s.Target)) })
 }
 
-// Steps returns the lifetime chase steps of the maintained state (0 while
-// in a no-solution state).
-func (e *Engine) Steps() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.res == nil {
-		return 0
-	}
-	return e.res.Steps()
+// Status describes the engine's chase state without copying it.
+type Status struct {
+	// Chased reports that the engine holds a chase fixpoint.
+	Chased bool
+	// Steps is the lifetime chase-step count behind the fixpoint and Atoms
+	// the size of its τ-reduct; both are 0 unless Chased.
+	Steps, Atoms int
 }
+
+// Status reports the current chase state. It never chases and takes no
+// lock, so it does not wait on an in-flight mutation or chase.
+func (e *Engine) Status() Status { return *e.status.Load() }
 
 // Apply validates and applies a mutation batch to the source, then brings
 // the chase result up to date: inserts extend the chase semi-naively,
 // deletes retract via the justification graph and re-saturate, and the
-// fallback cases (egd merges, FO bodies, dirty or failed state) re-chase
-// from scratch. Validation errors leave the engine untouched; chase errors
-// (budget, deadline, egd failure) are reported in the result or returned
-// with the mutation already applied — matching how registration treats a
-// failing chase.
+// fallback cases (egd merges, FO bodies, unchased or failed state)
+// re-chase from scratch. On a setting that is not weakly acyclic every
+// change resets the engine to unchased instead, and the next read chases.
+// Validation errors leave the engine untouched; chase errors (budget,
+// deadline) are returned with the mutation already applied and the engine
+// unchased, and an egd failure is reported in the result — matching how
+// registration treats a failing chase.
 func (e *Engine) Apply(muts []instance.Mutation, opt chase.Options) (ApplyResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -317,18 +323,21 @@ func (e *Engine) Apply(muts []instance.Mutation, opt chase.Options) (ApplyResult
 		}
 	}
 
-	// Apply in order, tracking the net effect: an insert and delete of the
-	// same atom inside one batch cancel out (successive successful ops on
-	// one atom necessarily alternate direction).
+	// Apply in order to a copy of the source, tracking the net effect: an
+	// insert and delete of the same atom inside one batch cancel out
+	// (successive successful ops on one atom necessarily alternate
+	// direction).
+	cur := e.source.Load()
+	next := cur.Clone()
 	net := make(map[string]instance.Mutation)
 	var order []string
 	res := ApplyResult{}
 	for _, m := range muts {
 		applied := false
 		if m.Insert {
-			applied = e.source.Add(m.Atom)
+			applied = next.Add(m.Atom)
 		} else {
-			applied = e.source.Remove(m.Atom)
+			applied = next.Remove(m.Atom)
 		}
 		if !applied {
 			continue
@@ -355,17 +364,16 @@ func (e *Engine) Apply(muts []instance.Mutation, opt chase.Options) (ApplyResult
 			res.Deleted++
 		}
 	}
-	res.Version = e.source.Version()
-	e.version.Store(res.Version)
+	res.Version = next.Version()
+	if res.Version != cur.Version() {
+		e.source.Store(next)
+	}
 	if len(netIns) == 0 && len(netDel) == 0 {
 		res.NoSolution = e.noSol != nil
-		if e.res != nil {
-			res.Atoms = e.res.Instance().Len() - e.source.Len()
-		}
+		res.Atoms = e.Status().Atoms
 		return res, nil
 	}
 
-	e.srcSnap.Store(nil)
 	e.uniSnap.Store(nil)
 	metrics.IncrMutations.Inc()
 
@@ -383,32 +391,31 @@ func (e *Engine) Apply(muts []instance.Mutation, opt chase.Options) (ApplyResult
 		}
 	}
 	if err != nil {
+		e.reset() // keep no partial state
 		if chase.IsEgdFailure(err) {
-			e.noSol = err
-			e.res = nil
-			res.NoSolution = true
-			return res, nil
+			e.noSol, err = err, nil
 		}
-		e.dirty = true
-		return res, err
 	}
+	e.publish()
 	res.NoSolution = e.noSol != nil
-	if e.res != nil && !res.NoSolution {
-		res.Atoms = e.res.Instance().Len() - e.source.Len()
-	}
-	return res, nil
+	res.Atoms = e.Status().Atoms
+	return res, err
 }
 
 // maintain updates the chase state for the net mutation effect. Callers
-// hold e.mu and have already applied the atoms to e.source.
+// hold e.mu and have already published the mutated source.
 func (e *Engine) maintain(netIns, netDel []instance.Atom, opt chase.Options, res *ApplyResult) error {
-	incremental := e.maintainable && // delta join requires conjunctive s-t bodies
-		e.res != nil && e.noSol == nil && !e.dirty && // a broken state cannot be patched
+	incremental := e.maintainable && // weakly acyclic with conjunctive s-t bodies
+		e.res != nil && // an unchased or failed state has nothing to patch
 		(len(netDel) == 0 || !e.merged) // merges invalidate the graph's atom identities
 
 	if !incremental {
 		res.Fallback = true
 		metrics.IncrFallbackRechase.Inc()
+		if !e.weakly {
+			e.reset() // the next read chases under its own budget
+			return nil
+		}
 		return e.rebuild(opt)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dependency"
 	"repro/internal/hom"
 	"repro/internal/instance"
+	"repro/internal/metrics"
 	"repro/internal/parser"
 	"repro/internal/score"
 )
@@ -330,17 +331,81 @@ func TestEngineRejectsBadMutations(t *testing.T) {
 	}
 }
 
-func TestEngineRejectsNonWeaklyAcyclic(t *testing.T) {
-	s := mustSetting(t, `
+// loopSetting is not weakly acyclic, and its chase never terminates.
+const loopSetting = `
 source A/1.
 target E/2.
 st:
   d1: A(x) -> exists z : E(x,z).
 target-deps:
   d2: E(x,y) -> exists z : E(y,z).
-`)
-	if _, err := New(s, mustInstance(t, `A(a).`), chase.Options{}); !errors.Is(err, ErrNotIncremental) {
-		t.Fatalf("New on non-weakly-acyclic setting: err = %v, want ErrNotIncremental", err)
+`
+
+// cyclicSetting is not weakly acyclic, yet its chase of R(a,a) terminates:
+// T(a,a) satisfies t1.
+const cyclicSetting = `
+source R/2.
+target T/2.
+st:
+  s1: R(x,y) -> T(x,y).
+target-deps:
+  t1: T(x,y) -> exists z : T(y,z).
+`
+
+// A setting that is not weakly acyclic builds unchased, and each read
+// chases it under that read's own budget. A chase cut short keeps nothing:
+// the next read starts again from the source instead of resuming.
+func TestEngineNonWeaklyAcyclicChasesPerRead(t *testing.T) {
+	s := mustSetting(t, loopSetting)
+	e, err := New(s, mustInstance(t, `A(a).`), chase.Options{MaxSteps: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Status().Chased || e.Maintainable() {
+		t.Fatalf("non-weakly-acyclic engine: status %+v, maintainable %v", e.Status(), e.Maintainable())
+	}
+	read := func() int64 {
+		t.Helper()
+		before := metrics.ChaseSteps.Load()
+		if _, err := e.Solution(chase.Options{MaxSteps: 200}); !errors.Is(err, chase.ErrBudgetExceeded) {
+			t.Fatalf("Solution: err = %v, want ErrBudgetExceeded", err)
+		}
+		if e.res != nil || e.Status().Chased {
+			t.Fatal("a chase cut short by its budget left chase state behind")
+		}
+		return metrics.ChaseSteps.Load() - before
+	}
+	first, second := read(), read()
+	if first == 0 || second > first {
+		t.Fatalf("chase steps per read: first %d, second %d", first, second)
+	}
+}
+
+// A mutation of a setting that is not weakly acyclic resets the engine to
+// unchased without chasing; the next read chases the mutated source.
+func TestEngineNonWeaklyAcyclicMutationResets(t *testing.T) {
+	s := mustSetting(t, cyclicSetting)
+	e, err := New(s, mustInstance(t, `R(a,a).`), chase.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstScratch(t, e, s)
+	if !e.Status().Chased {
+		t.Fatal("a successful read left the engine unchased")
+	}
+	res, err := e.Apply([]instance.Mutation{ins("R", c("b"), c("b"))}, chase.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Fallback || res.Inserted != 1 || res.Steps != 0 || res.Atoms != 0 {
+		t.Fatalf("mutation result = %+v, want an unchased fallback", res)
+	}
+	if e.Status().Chased {
+		t.Fatal("mutation left the old chase in place")
+	}
+	checkAgainstScratch(t, e, s)
+	if st := e.Status(); !st.Chased || st.Atoms != 2 {
+		t.Fatalf("status after read = %+v, want T(a,a), T(b,b)", st)
 	}
 }
 

@@ -2,7 +2,6 @@ package incr
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/chase"
 	"repro/internal/dependency"
@@ -21,69 +20,65 @@ import (
 // which rebuilds the graph and clears the flag — the same degradation an
 // egd merge causes on a live engine.
 //
+// The fixpoint is kept only if it holds every atom of src, as a chase
+// fixpoint over σ ∪ τ does. Anything else (earlier builds persisted the
+// τ-reduct alone for settings that are not weakly acyclic) is dropped and
+// the engine starts unchased, to be chased by its first read.
+//
 // steps seeds the lifetime chase-step counter for reporting. The caller
 // asserts fixpoint is the chase fixpoint of (s, src); a stale pair yields
 // a non-universal maintained state, which is why the store only persists
 // fixpoints captured under the scenario's mutation lock.
 func Resume(s *dependency.Setting, src, fixpoint *instance.Instance, steps int) (*Engine, error) {
-	if !s.WeaklyAcyclic() {
-		return nil, ErrNotIncremental
-	}
-	if src.HasNulls() {
-		return nil, fmt.Errorf("incr: source instance must be null-free")
-	}
 	if fixpoint == nil {
 		return nil, errors.New("incr: Resume requires a fixpoint")
 	}
-	maintainable := true
-	for _, d := range s.ST {
-		if d.BodyAtoms == nil {
-			maintainable = false
-			break
-		}
+	e, err := newEngine(s, src)
+	if err != nil {
+		return nil, err
 	}
-	e := &Engine{s: s, maintainable: maintainable, source: src, merged: true}
-	e.version.Store(src.Version())
+	if !holdsAll(fixpoint, src) {
+		return e, nil
+	}
+	e.merged = true
 	var obs chase.Observer
-	if maintainable {
+	if e.maintainable {
 		e.g = newGraph()
 		obs = observer{e}
 	}
 	e.res = chase.ResumeFixpoint(s, fixpoint, steps, obs)
+	e.publish()
 	return e, nil
 }
 
 // PersistSnapshot captures the engine's persistable state in one critical
-// section: the current source, plus the chase fixpoint and step count when
-// the engine has a clean one (fixpoint nil otherwise — no-solution or
-// interrupted states persist the source alone). Taking both under one lock
-// matters: a source captured after a mutation paired with a fixpoint
-// captured before it would resume into a silently non-universal state.
+// section: the current source, plus the chase fixpoint over σ ∪ τ and its
+// step count when the engine is chased (fixpoint nil otherwise —
+// unchased or no-solution states persist the source alone). Taking both
+// under one lock matters: a source captured after a mutation paired with a
+// fixpoint captured before it would resume into a silently non-universal
+// state.
 func (e *Engine) PersistSnapshot() (src, fixpoint *instance.Instance, steps int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	src = e.srcSnap.Load()
-	if src == nil {
-		src = e.source.Clone()
-		e.srcSnap.Store(src)
-	}
-	if e.res != nil && e.noSol == nil && !e.dirty {
+	if e.res != nil {
 		fixpoint = e.res.Instance().Clone()
 		steps = e.res.Steps()
 	}
-	return src, fixpoint, steps
+	return e.source.Load(), fixpoint, steps
 }
 
-// FixpointSnapshot returns a clone of the full chase fixpoint (over σ ∪ τ)
-// and the lifetime step count, the state Resume needs to reconstruct the
-// engine. It reports false when there is no clean fixpoint to persist: the
-// engine is in a no-solution state or was interrupted mid-chase (dirty) —
-// callers then persist the source alone and re-chase at recovery.
-func (e *Engine) FixpointSnapshot() (*instance.Instance, int, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.res == nil || e.noSol != nil || e.dirty {
-		return nil, 0, false
+// holdsAll reports whether every atom of sub is in ins.
+func holdsAll(ins, sub *instance.Instance) bool {
+	ok := true
+	for _, rel := range sub.Relations() {
+		sub.Tuples(rel, func(args []instance.Value) bool {
+			ok = ins.Has(instance.Atom{Rel: rel, Args: args})
+			return ok
+		})
+		if !ok {
+			return false
+		}
 	}
-	return e.res.Instance().Clone(), e.res.Steps(), true
+	return true
 }

@@ -10,16 +10,16 @@ import (
 )
 
 // persistResume round-trips an engine through the store's persistence path:
-// FixpointSnapshot + SourceSnapshot → instance codec → Resume. Returns nil
-// when the engine has no clean fixpoint (no-solution / dirty), which is the
-// store's cue to persist the source alone and re-chase at recovery.
+// PersistSnapshot → instance codec → Resume. Returns nil when the engine
+// holds no fixpoint (unchased or no-solution), which is the store's cue to
+// persist the source alone and re-chase at recovery.
 func persistResume(t *testing.T, e *Engine) *Engine {
 	t.Helper()
-	fix, steps, ok := e.FixpointSnapshot()
-	if !ok {
+	src, fix, steps := e.PersistSnapshot()
+	if fix == nil {
 		return nil
 	}
-	srcBuf := e.SourceSnapshot().AppendBinary(nil)
+	srcBuf := src.AppendBinary(nil)
 	fixBuf := fix.AppendBinary(nil)
 	src2, _, err := instance.DecodeBinary(srcBuf)
 	if err != nil {
@@ -36,8 +36,8 @@ func persistResume(t *testing.T, e *Engine) *Engine {
 	if e2.Version() != e.Version() {
 		t.Fatalf("resumed version = %d, want %d", e2.Version(), e.Version())
 	}
-	if e2.Steps() != steps {
-		t.Fatalf("resumed steps = %d, want %d", e2.Steps(), steps)
+	if st := e2.Status(); !st.Chased || st.Steps != steps {
+		t.Fatalf("resumed status = %+v, want chased with %d steps", st, steps)
 	}
 	return e2
 }
@@ -158,9 +158,9 @@ func TestResumeDeleteFallsBack(t *testing.T) {
 	}
 }
 
-// TestFixpointSnapshotNoSolution: an engine in a no-solution state has no
+// TestPersistSnapshotNoSolution: an engine in a no-solution state has no
 // fixpoint to persist.
-func TestFixpointSnapshotNoSolution(t *testing.T) {
+func TestPersistSnapshotNoSolution(t *testing.T) {
 	s := genwl.EgdOnly()
 	src := genwl.EgdOnlySource(4, false, 1) // inconsistent W-facts: egd fails
 	e, err := New(s, src, chase.Options{})
@@ -170,7 +170,42 @@ func TestFixpointSnapshotNoSolution(t *testing.T) {
 	if _, err := e.Solution(chase.Options{}); !chase.IsEgdFailure(err) {
 		t.Fatalf("expected egd failure, got %v", err)
 	}
-	if _, _, ok := e.FixpointSnapshot(); ok {
+	if _, fix, _ := e.PersistSnapshot(); fix != nil {
 		t.Fatal("no-solution engine reported a persistable fixpoint")
+	}
+}
+
+// TestResumeDropsTargetOnlyFixpoint: a persisted fixpoint that lacks the
+// source atoms (the τ-reduct alone, as earlier builds stored for settings
+// that are not weakly acyclic) is not resumed. The engine starts unchased
+// and its first read chases the source.
+func TestResumeDropsTargetOnlyFixpoint(t *testing.T) {
+	for _, tc := range []struct{ name, setting, source string }{
+		{"weakly-acyclic", example21, `M(a,b). N(a,b).`},
+		{"cyclic", cyclicSetting, `R(a,a).`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mustSetting(t, tc.setting)
+			src := mustInstance(t, tc.source)
+			e, err := New(s, src, chase.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tau, err := e.Solution(chase.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e2, err := Resume(s, src.Clone(), tau.Clone(), e.Status().Steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := e2.Status(); st.Chased {
+				t.Fatalf("τ-only fixpoint resumed: %+v", st)
+			}
+			checkAgainstScratch(t, e2, s)
+			if !e2.Status().Chased {
+				t.Fatal("first read left the engine unchased")
+			}
+		})
 	}
 }

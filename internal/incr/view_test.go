@@ -40,8 +40,8 @@ func TestEngineViewIsTargetReductInPlace(t *testing.T) {
 	}
 }
 
-// Readers of the view and mutators of the engine never touch the chase
-// instance at the same time (run with -race).
+// Readers of the view and of the lock-free snapshots never race with
+// mutators of the engine (run with -race).
 func TestEngineViewConcurrentWithApply(t *testing.T) {
 	s := mustSetting(t, example21)
 	e, err := New(s, mustInstance(t, `M(a,b). N(a,b).`), chase.Options{})
@@ -57,6 +57,20 @@ func TestEngineViewConcurrentWithApply(t *testing.T) {
 			m.Insert = i%2 == 0
 			if _, err := e.Apply([]instance.Mutation{m}, chase.Options{}); err != nil {
 				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			if src := e.SourceSnapshot(); src.Len() < 2 || src.Version() > e.Version() {
+				t.Errorf("snapshot %v at version %d, engine at %d", src, src.Version(), e.Version())
+				return
+			}
+			if st := e.Status(); !st.Chased || st.Atoms < 2 {
+				t.Errorf("status %+v during mutations of a weakly acyclic engine", st)
 				return
 			}
 		}

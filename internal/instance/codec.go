@@ -22,7 +22,7 @@ import (
 // Decoding reconstructs the identical columnar image — same row ids, same
 // iteration order — and rebuilds the derived structures (byKey, posting
 // lists) that are cheaper to recompute than to serialize. The version
-// counter round-trips; the insertion log and journal do not (the decoded
+// counter round-trips; the insertion log does not (the decoded
 // instance starts a fresh epoch, like Clone).
 //
 // The format is versioned by its magic; integrity framing (lengths, CRCs)

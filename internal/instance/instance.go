@@ -40,11 +40,8 @@ type Instance struct {
 	// same (or any) atom.
 	epoch uint64
 
-	// version counts content changes (see Version); journal optionally
-	// records them (see EnableJournal). Both live in mutation.go.
-	version   uint64
-	journalOn bool
-	journal   []Mutation
+	// version counts content changes (see Version in mutation.go).
+	version uint64
 }
 
 // rowRef locates one inserted row: the relation (by creation index) and its
@@ -172,7 +169,7 @@ func (ins *Instance) Add(a Atom) bool {
 	r.live[row>>6] |= 1 << (uint(row) & 63)
 	r.byKey[string(buf)] = row
 	ins.seq = append(ins.seq, rowRef{rel: r.id, row: row})
-	ins.noteInsert(a.Rel, a.Args)
+	ins.version++
 	return true
 }
 
@@ -665,7 +662,7 @@ func (r *relation) clone(id int32) *relation {
 
 // Clone returns a deep copy with identical iteration order. The version
 // counter carries over (the copy identifies the same content state); the
-// journal and the insertion log do not (marks never survive a Clone).
+// insertion log does not (marks never survive a Clone).
 func (ins *Instance) Clone() *Instance {
 	cp := New()
 	cp.version = ins.version
@@ -874,21 +871,13 @@ func removePosting(m map[Value][]int32, v Value, row int32) {
 
 // removeRow deletes one live row: drops its key, removes it from every
 // posting list, clears its presence bit, bumps the epoch (watermarks no
-// longer identify a consistent log) and journals the removal.
+// longer identify a consistent log) and advances the version.
 func (ins *Instance) removeRow(r *relation, row int32) {
 	var kb [8 * 8]byte
 	key := r.appendRow(kb[:0], row)
 	delete(r.byKey, string(key))
-	var args []Value
-	if ins.journalOn {
-		args = make([]Value, r.arity)
-	}
 	for p, col := range r.cols {
-		v := col[row]
-		if args != nil {
-			args[p] = v
-		}
-		removePosting(r.byPos[p], v, row)
+		removePosting(r.byPos[p], col[row], row)
 	}
 	r.live[row>>6] &^= 1 << (uint(row) & 63)
 	r.nLive--
@@ -897,7 +886,7 @@ func (ins *Instance) removeRow(r *relation, row int32) {
 	// bounds the log's memory between removals.
 	ins.epoch++
 	ins.seq = ins.seq[:0]
-	ins.noteRemove(r.name, args)
+	ins.version++
 }
 
 // maybeCompact rebuilds the relation's storage when dead row slots dominate,

@@ -4,8 +4,8 @@ import "fmt"
 
 // Mutation is one source-instance change: the insertion or deletion of a
 // single ground atom. Mutations are the unit of the incremental-maintenance
-// subsystem (internal/incr): the server's mutation endpoints, the dxcli
-// apply mode and the instance journal all speak in terms of them.
+// subsystem (internal/incr): the server's mutation endpoints, the durable
+// store's WAL and the dxcli apply mode all speak in terms of them.
 type Mutation struct {
 	// Insert distinguishes an insertion (true) from a deletion (false).
 	Insert bool
@@ -27,39 +27,3 @@ func (m Mutation) String() string {
 // identifies the content state it was taken at. ReplaceValue advances the
 // counter through its removals and re-insertions.
 func (ins *Instance) Version() uint64 { return ins.version }
-
-// EnableJournal makes the instance record every subsequent content change
-// (atom inserted, atom removed) as a Mutation, in the order it happened.
-// Value replacement (egd application) journals as the removals and
-// re-insertions it is implemented with. The journal is not copied by Clone.
-func (ins *Instance) EnableJournal() { ins.journalOn = true }
-
-// Journal returns the mutations recorded since EnableJournal (or the last
-// ResetJournal). The slice is owned by the instance; callers must copy what
-// they retain across further mutations.
-func (ins *Instance) Journal() []Mutation { return ins.journal }
-
-// ResetJournal discards the recorded mutations while leaving journaling
-// enabled (if it was).
-func (ins *Instance) ResetJournal() { ins.journal = nil }
-
-// noteInsert records a successful atom insertion: the version counter
-// always advances; the journal only when enabled. args may be a caller's
-// scratch buffer (columnar storage keeps no per-row slice), so the journal
-// entry copies it.
-func (ins *Instance) noteInsert(rel string, args []Value) {
-	ins.version++
-	if ins.journalOn {
-		cp := make([]Value, len(args))
-		copy(cp, args)
-		ins.journal = append(ins.journal, Mutation{Insert: true, Atom: Atom{Rel: rel, Args: cp}})
-	}
-}
-
-// noteRemove records an atom removal; see noteInsert.
-func (ins *Instance) noteRemove(rel string, args []Value) {
-	ins.version++
-	if ins.journalOn {
-		ins.journal = append(ins.journal, Mutation{Insert: false, Atom: Atom{Rel: rel, Args: args}})
-	}
-}

@@ -34,50 +34,11 @@ func TestVersionCountsEffectiveChanges(t *testing.T) {
 	}
 }
 
-func TestJournalRecordsMutationsInOrder(t *testing.T) {
-	ins := New()
-	ins.EnableJournal()
-	a := Atom{Rel: "R", Args: []Value{Const("a")}}
-	b := Atom{Rel: "S", Args: []Value{Const("a"), Null(1)}}
-	ins.Add(a)
-	ins.Add(b)
-	ins.Add(a) // duplicate: must not journal
-	ins.Remove(a)
-
-	j := ins.Journal()
-	want := []Mutation{
-		{Insert: true, Atom: a},
-		{Insert: true, Atom: b},
-		{Insert: false, Atom: a},
-	}
-	if len(j) != len(want) {
-		t.Fatalf("journal length = %d, want %d (%v)", len(j), len(want), j)
-	}
-	for i := range want {
-		if j[i].Insert != want[i].Insert || !j[i].Atom.Equal(want[i].Atom) {
-			t.Fatalf("journal[%d] = %v, want %v", i, j[i], want[i])
-		}
-	}
-	if got := ins.Version(); got != 3 {
-		t.Fatalf("version = %d, want 3", got)
-	}
-
-	ins.ResetJournal()
-	if len(ins.Journal()) != 0 {
-		t.Fatal("ResetJournal left entries behind")
-	}
-	ins.Add(a)
-	if len(ins.Journal()) != 1 {
-		t.Fatal("journaling disabled after ResetJournal")
-	}
-}
-
-func TestReplaceValueJournalsAndBumpsVersion(t *testing.T) {
+func TestReplaceValueBumpsVersion(t *testing.T) {
 	ins := New()
 	ins.Add(Atom{Rel: "R", Args: []Value{Null(1), Const("c")}})
 	ins.Add(Atom{Rel: "R", Args: []Value{Const("c"), Const("c")}})
 	v0 := ins.Version()
-	ins.EnableJournal()
 
 	// _1 -> c merges R(_1,c) into the existing R(c,c): one removal of the
 	// old tuple, no effective re-insert of the rewritten duplicate, plus
@@ -88,21 +49,6 @@ func TestReplaceValueJournalsAndBumpsVersion(t *testing.T) {
 	}
 	if ins.Version() <= v0 {
 		t.Fatalf("version did not advance across ReplaceValue: %d -> %d", v0, ins.Version())
-	}
-	// Replaying the journal against a copy of the pre-merge state must
-	// yield the post-merge state: that is the contract incr relies on.
-	replay := New()
-	replay.Add(Atom{Rel: "R", Args: []Value{Null(1), Const("c")}})
-	replay.Add(Atom{Rel: "R", Args: []Value{Const("c"), Const("c")}})
-	for _, m := range ins.Journal() {
-		if m.Insert {
-			replay.Add(m.Atom)
-		} else {
-			replay.Remove(m.Atom)
-		}
-	}
-	if !replay.Equal(ins) {
-		t.Fatalf("journal replay diverged:\nreplayed: %v\nactual:   %v", replay.Atoms(), ins.Atoms())
 	}
 }
 
@@ -116,12 +62,5 @@ func TestCloneAndReductCarryVersion(t *testing.T) {
 	sch := NewSchema("R/1")
 	if got := ins.Reduct(sch).Version(); got != ins.Version() {
 		t.Fatalf("Reduct version = %d, want %d", got, ins.Version())
-	}
-	// The clone's journal must be independent of the original's.
-	ins.EnableJournal()
-	cp := ins.Clone()
-	cp.Add(Atom{Rel: "R", Args: []Value{Const("z")}})
-	if len(ins.Journal()) != 0 {
-		t.Fatal("mutating a clone leaked into the original's journal")
 	}
 }

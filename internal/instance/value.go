@@ -133,13 +133,6 @@ func (s *NullSource) Fresh() Value {
 	return v
 }
 
-// Peek returns the label the next call to Fresh will use.
-func (s *NullSource) Peek() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.next
-}
-
 // Atom is a fact R(u1, …, ur).
 type Atom struct {
 	Rel  string

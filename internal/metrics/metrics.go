@@ -112,9 +112,9 @@ var (
 	// justification graph after a source deletion.
 	IncrRetractions = register("incr_retractions")
 	// IncrFallbackRechase counts mutations the engine could not maintain
-	// incrementally (egd merges implicated, non-monotone s-t bodies, or a
-	// dirty state after an interrupted run) and resolved by a full
-	// re-chase.
+	// incrementally (egd merges implicated, non-monotone s-t bodies, an
+	// unchased or failed state) and resolved by a full re-chase — for a
+	// setting that is not weakly acyclic, one deferred to the next read.
 	IncrFallbackRechase = register("incr_fallback_rechase")
 
 	// StoreWALAppends counts records appended to the durable store's

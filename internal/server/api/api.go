@@ -32,10 +32,11 @@ type ScenarioInfo struct {
 	RichlyAcyclic bool   `json:"richly_acyclic"`
 	// SourceAtoms is the size of the source instance.
 	SourceAtoms int `json:"source_atoms"`
-	// Chased reports whether the registration chase ran (weakly acyclic
-	// settings only) and its result is cached.
+	// Chased reports whether the scenario holds a chase result: weakly
+	// acyclic settings are chased at registration and after every
+	// mutation, others by the first request that needs the chase.
 	Chased bool `json:"chased"`
-	// ChaseSteps and UniversalAtoms describe the cached chase result when
+	// ChaseSteps and UniversalAtoms describe the held chase result when
 	// Chased is true.
 	ChaseSteps     int `json:"chase_steps,omitempty"`
 	UniversalAtoms int `json:"universal_atoms,omitempty"`
@@ -160,9 +161,10 @@ type MutateResponse struct {
 	// duplicates and absent deletions).
 	Inserted int `json:"inserted"`
 	Deleted  int `json:"deleted"`
-	// Fallback reports that the batch was resolved by a full re-chase
-	// instead of incremental maintenance (egd merges, non-conjunctive
-	// s-t bodies, or a scenario without an engine).
+	// Fallback reports that the batch was not maintained incrementally:
+	// it was resolved by a full re-chase (egd merges, non-conjunctive s-t
+	// bodies), or, for a setting that is not weakly acyclic, the chase
+	// result was dropped for the next request to recompute.
 	Fallback bool `json:"fallback,omitempty"`
 	// NoSolution reports that the mutated source has no solution (an egd
 	// failed). The mutation is applied regardless; evaluation endpoints

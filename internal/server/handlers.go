@@ -197,14 +197,14 @@ func (s *Server) scenarioInfo(sc *scenario) api.ScenarioInfo {
 		ID:            sc.id,
 		WeaklyAcyclic: sc.weakly,
 		RichlyAcyclic: sc.richly,
-		SourceAtoms:   sc.src().Len(),
+		SourceAtoms:   sc.engine.SourceSnapshot().Len(),
 		Version:       sc.version(),
-		Incremental:   sc.engine != nil && sc.engine.Maintainable(),
+		Incremental:   sc.engine.Maintainable(),
 	}
-	if steps, atoms, ok := sc.chased(); ok {
+	if st := sc.engine.Status(); st.Chased {
 		info.Chased = true
-		info.ChaseSteps = steps
-		info.UniversalAtoms = atoms
+		info.ChaseSteps = st.Steps
+		info.UniversalAtoms = st.Atoms
 	}
 	return info
 }
@@ -418,7 +418,7 @@ func (s *Server) handleExists(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cleanup()
 	s.cached(w, r, resultKey(sc, "exists"), func() (any, error) {
-		exists, err := cwa.Exists(sc.setting, sc.src(), opt)
+		exists, err := sc.exists(opt)
 		if err != nil {
 			return nil, err
 		}
@@ -525,7 +525,7 @@ func (s *Server) handleEnum(w http.ResponseWriter, r *http.Request) {
 	if workers <= 0 {
 		workers = s.cfg.Workers
 	}
-	sols, err := cwa.Enumerate(sc.setting, sc.src(), cwa.EnumOptions{
+	sols, err := cwa.Enumerate(sc.setting, sc.engine.SourceSnapshot(), cwa.EnumOptions{
 		MaxSolutions: maxSols,
 		ChaseOptions: opt,
 		Workers:      workers,

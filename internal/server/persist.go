@@ -18,13 +18,10 @@ import (
 // the generated-name counter) from the catalog at boot. With no store
 // configured none of it runs — the registry behaves exactly as before.
 
-// persistState captures the scenario's durable form. Engine-backed
-// scenarios capture source and fixpoint in one engine critical section
-// (a torn pair would resume into a silently non-universal state); the
-// fixpoint is nil when the engine has no clean one (no-solution, dirty).
-// Scenarios without an engine persist the source plus, for settings that
-// are not weakly acyclic, the memoized universal solution — which recovery
-// reinstates as a memo, never feeds to incr.Resume.
+// persistState captures the scenario's durable form. Source and fixpoint
+// come from one engine critical section (a torn pair would resume into a
+// silently non-universal state); the fixpoint is the σ ∪ τ chase fixpoint,
+// nil when the engine holds none (unchased or no-solution).
 func (sc *scenario) persistState() *store.State {
 	st := &store.State{
 		ID:          sc.id,
@@ -32,59 +29,32 @@ func (sc *scenario) persistState() *store.State {
 		SettingText: sc.settingText,
 		InitVersion: sc.initVersion,
 	}
-	if sc.engine != nil {
-		st.Source, st.Fixpoint, st.Steps = sc.engine.PersistSnapshot()
-		return st
-	}
-	sc.mu.Lock()
-	st.Source = sc.source
-	if !sc.weakly {
-		st.Fixpoint = sc.universal
-		st.Steps = sc.chaseSteps
-	}
-	sc.mu.Unlock()
+	st.Source, st.Fixpoint, st.Steps = sc.engine.PersistSnapshot()
 	return st
 }
 
 // scenarioFromState rebuilds a resident scenario from its durable form.
-// Weakly acyclic scenarios with a persisted fixpoint resume the
-// incremental engine around it — no re-chase; without one (the state had
-// unfolded mutations, or the engine was dirty at capture) the engine
-// re-chases under opt like a fresh registration.
+// A persisted fixpoint is resumed by the incremental engine — no re-chase;
+// without one (the state had unfolded mutations, or the engine held no
+// fixpoint at capture) the engine is built like a fresh registration's,
+// chasing under opt when the setting is weakly acyclic. The engine takes
+// ownership of st's instances.
 func scenarioFromState(st *store.State, opt chase.Options) (*scenario, error) {
 	s, err := parser.ParseSetting(st.SettingText)
 	if err != nil {
 		return nil, fmt.Errorf("server: rehydrating %q: %w", st.ID, err)
 	}
-	sc := &scenario{
-		id:          st.ID,
-		contentID:   st.ContentID,
-		settingText: st.SettingText,
-		setting:     s,
-		source:      st.Source,
-		weakly:      s.WeaklyAcyclic(),
-		richly:      s.RichlyAcyclic(),
-		initVersion: st.InitVersion,
+	var eng *incr.Engine
+	if st.Fixpoint != nil {
+		eng, err = incr.Resume(s, st.Source, st.Fixpoint, st.Steps)
+	} else {
+		// A chase cut short leaves the engine unchased, not broken.
+		eng, err = incr.New(s, st.Source, opt)
 	}
-	if sc.weakly {
-		if st.Fixpoint != nil {
-			// Resume takes ownership of its source and mutates it in
-			// place, while sc.source must stay an immutable snapshot for
-			// lock-free readers: give the engine its own copy.
-			if eng, err := incr.Resume(s, st.Source.Clone(), st.Fixpoint, st.Steps); err == nil {
-				sc.engine = eng
-			}
-		}
-		if sc.engine == nil {
-			if eng, _ := incr.New(s, st.Source, opt); eng != nil {
-				sc.engine = eng
-			}
-		}
-	} else if st.Fixpoint != nil {
-		sc.universal = st.Fixpoint
-		sc.chaseSteps = st.Steps
+	if eng == nil {
+		return nil, fmt.Errorf("server: rehydrating %q: %w", st.ID, err)
 	}
-	return sc, nil
+	return newScenario(st.ID, st.ContentID, st.SettingText, s, eng, st.InitVersion), nil
 }
 
 // load tracks one in-flight rehydration so concurrent lookups of the same

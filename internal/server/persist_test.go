@@ -353,3 +353,112 @@ func TestMemoryOnlyUnchanged(t *testing.T) {
 		t.Fatalf("want unknown_scenario, got %v", err)
 	}
 }
+
+// cyclicSetting is not weakly acyclic, yet its chase of R(a,a) terminates:
+// T(a,a) satisfies t1.
+const cyclicSetting = `
+source R/2.
+target T/2.
+st:
+  s1: R(x,y) -> T(x,y).
+target-deps:
+  t1: T(x,y) -> exists z : T(y,z).
+`
+
+// TestDurableNonWeaklyAcyclicKeepsItsChase: a scenario whose setting is not
+// weakly acyclic persists its chase like any other — the σ ∪ τ fixpoint the
+// engine resumes — and after a clean restart answers /v1/chase with the
+// same universal solution and steps without chasing again.
+func TestDurableNonWeaklyAcyclicKeepsItsChase(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	st1 := openTestStore(t, dir)
+	srv1, ts1, c1 := newTestServer(t, server.Config{Store: st1})
+	info, err := c1.Register(ctx, api.RegisterRequest{Name: "cyc", Setting: cyclicSetting, Source: `R(a,a).`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.WeaklyAcyclic || info.Chased {
+		t.Fatalf("cyclic scenario must register unchased: %+v", info)
+	}
+	first, err := c1.Chase(ctx, api.EvalRequest{Scenario: "cyc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1.BeginDrain()
+	if err := srv1.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+
+	st2 := openTestStore(t, dir)
+	saved, err := st2.Load("cyc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if saved.Fixpoint == nil || !saved.Fixpoint.Has(saved.Source.Atoms()[0]) {
+		t.Fatalf("persisted fixpoint is not over σ ∪ τ: %v", saved.Fixpoint)
+	}
+	_, _, c2 := newTestServer(t, server.Config{Store: st2})
+	got, err := c2.Scenario(ctx, "cyc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Chased || got.ChaseSteps != first.Steps {
+		t.Fatalf("scenario after restart = %+v, want chased with %d steps", got, first.Steps)
+	}
+	before := chaseStepsMetric(t, c2)
+	again, err := c2.Chase(ctx, api.EvalRequest{Scenario: "cyc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Universal != first.Universal || again.Steps != first.Steps {
+		t.Fatalf("chase diverged across restart:\n was %+v\n now %+v", first, again)
+	}
+	if after := chaseStepsMetric(t, c2); after != before {
+		t.Fatalf("chase after restart ran %d chase steps, want none", after-before)
+	}
+}
+
+// TestDurableTargetOnlyFixpointIsRechased: earlier builds persisted only
+// the τ-reduct as the fixpoint of a scenario whose setting is not weakly
+// acyclic. Such a state is not resumed: the scenario comes back unchased
+// and its first request chases the source.
+func TestDurableTargetOnlyFixpointIsRechased(t *testing.T) {
+	ctx := context.Background()
+	s, err := parser.ParseSetting(cyclicSetting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := parser.ParseInstance(`R(a,a).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tau, err := parser.ParseInstance(`T(a,a).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := openTestStore(t, t.TempDir())
+	if err := st.Register(&store.State{
+		ID: "old", ContentID: "old", SettingText: parser.FormatSetting(s),
+		InitVersion: src.Version(), Steps: 1, Source: src, Fixpoint: tau,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, _, c := newTestServer(t, server.Config{Store: st})
+	info, err := c.Scenario(ctx, "old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Chased {
+		t.Fatalf("τ-only fixpoint was resumed: %+v", info)
+	}
+	res, err := c.Chase(ctx, api.EvalRequest{Scenario: "old"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Atoms != 1 || res.Steps != 1 {
+		t.Fatalf("chase of R(a,a) = %+v, want T(a,a) in one step", res)
+	}
+}

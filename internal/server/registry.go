@@ -30,11 +30,13 @@ var errUnknownScenario = errors.New("server: unknown scenario")
 // the plan cache: every tgd/egd lazily compiles and memoizes its body,
 // head, slot and delta plans on first use (dependency/plan.go), so keeping
 // the Setting resident amortizes compilation across every request that
-// names the scenario. Heavy derived artifacts (universal solution, core,
-// canonical solution) are memoized here under a per-scenario mutex: the
+// names the scenario. The scenario's incremental engine holds its source
+// and its one chase state; the core and the canonical solution, which the
+// engine does not hold, are memoized here under a per-scenario mutex: the
 // first request computes under its own deadline, later requests reuse the
 // result, and concurrent duplicates block on the mutex instead of
-// recomputing (single-flight).
+// recomputing (single-flight). Locks are taken in the order sc.mu, then
+// the engine's.
 type scenario struct {
 	id string
 	// contentID identifies the scenario by content: a hash of the
@@ -52,9 +54,10 @@ type scenario struct {
 	setting     *dependency.Setting
 	weakly      bool
 	richly      bool
-	// engine incrementally maintains the chase result under source
-	// mutations (weakly acyclic settings only; nil otherwise). It owns its
-	// own copy of the source; sc.source mirrors its latest snapshot.
+	// engine owns the source and the chase result and keeps them current
+	// under source mutations. Weakly acyclic settings are chased eagerly;
+	// any other setting is chased by the first request that needs it,
+	// under that request's deadline and budget.
 	engine *incr.Engine
 	// initVersion is the source version at registration. A scenario whose
 	// current version differs has been mutated: its content no longer
@@ -73,36 +76,28 @@ type scenario struct {
 	// observes it can safely forward there.
 	movedTo string
 
-	mu sync.Mutex // guards source and the memos below
-	// source is the current source instance. The pointer is swapped (never
-	// mutated in place) so readers can use a snapshot without locking
-	// beyond the accessor.
-	source *instance.Instance
-	// universal and chaseSteps are set once a chase succeeds (eagerly at
-	// registration for weakly acyclic settings, else by the first
-	// successful request).
-	universal  *instance.Instance
-	chaseSteps int
-	core       *instance.Instance
-	cansol     *instance.Instance
+	mu     sync.Mutex // guards the memos below
+	core   *instance.Instance
+	cansol *instance.Instance
 }
 
-// src returns the current source instance. The returned instance is
-// treated as immutable: mutations swap the pointer.
-func (sc *scenario) src() *instance.Instance {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.source
+// newScenario builds a scenario around its engine.
+func newScenario(id, contentID, settingText string, s *dependency.Setting, eng *incr.Engine, initVersion uint64) *scenario {
+	return &scenario{
+		id:          id,
+		contentID:   contentID,
+		settingText: settingText,
+		setting:     s,
+		weakly:      s.WeaklyAcyclic(),
+		richly:      s.RichlyAcyclic(),
+		engine:      eng,
+		initVersion: initVersion,
+	}
 }
 
 // version returns the scenario's current source version (monotone: +1 per
 // source atom actually inserted or removed).
-func (sc *scenario) version() uint64 {
-	if sc.engine != nil {
-		return sc.engine.Version()
-	}
-	return sc.src().Version()
-}
+func (sc *scenario) version() uint64 { return sc.engine.Version() }
 
 // mutated reports whether any mutation batch has changed the source since
 // registration (versions only move forward, so equality means pristine).
@@ -110,45 +105,29 @@ func (sc *scenario) mutated() bool {
 	return sc.version() != sc.initVersion
 }
 
-// chaseFor returns the scenario's standard-chase result, memoized on
-// success. Engine-backed scenarios delegate to the incremental engine —
-// the maintained fixpoint is the chase result — so a request after a
-// mutation pays only the delta the mutation left behind, not a re-chase.
-// The options carry the request's context and budget.
+// chaseFor returns the scenario's universal solution and the chase steps
+// behind it. The engine's maintained fixpoint is the chase result, so a
+// request after a mutation pays only the delta the mutation left behind,
+// not a re-chase. The options carry the request's context and budget,
+// under which an unchased engine chases.
 func (sc *scenario) chaseFor(opt chase.Options) (universal *instance.Instance, steps int, err error) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.universal != nil {
-		return sc.universal, sc.chaseSteps, nil
-	}
-	if sc.engine != nil {
-		u, err := sc.engine.Solution(opt)
-		if err != nil {
-			return nil, 0, err
-		}
-		sc.universal = u
-		sc.chaseSteps = sc.engine.Steps()
-		return sc.universal, sc.chaseSteps, nil
-	}
-	res, err := chase.Standard(sc.setting, sc.source, opt)
+	u, err := sc.engine.Solution(opt)
 	if err != nil {
 		return nil, 0, err
 	}
-	sc.universal = res.Target
-	sc.chaseSteps = res.Steps
-	return sc.universal, sc.chaseSteps, nil
+	return u, sc.engine.Status().Steps, nil
 }
 
 // coreFor returns the minimal CWA-solution Core_D(S), memoized on success.
+// score.Core copies its input, so it runs on the engine's view in place.
 func (sc *scenario) coreFor(opt chase.Options) (*instance.Instance, error) {
-	u, _, err := sc.chaseFor(opt)
-	if err != nil {
-		return nil, cwa.NoSolution(err)
-	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if sc.core == nil {
-		sc.core = score.Core(u)
+		err := sc.engine.View(opt, func(u *instance.Instance) { sc.core = score.Core(u) })
+		if err != nil {
+			return nil, cwa.NoSolution(err)
+		}
 	}
 	return sc.core, nil
 }
@@ -159,7 +138,7 @@ func (sc *scenario) cansolFor(opt chase.Options) (*instance.Instance, error) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if sc.cansol == nil {
-		can, err := cwa.CanSol(sc.setting, sc.source, opt)
+		can, err := cwa.CanSol(sc.setting, sc.engine.SourceSnapshot(), opt)
 		if err != nil {
 			return nil, err
 		}
@@ -168,44 +147,35 @@ func (sc *scenario) cansolFor(opt chase.Options) (*instance.Instance, error) {
 	return sc.cansol, nil
 }
 
+// exists decides whether the scenario's source has a CWA-solution. By
+// Corollary 5.2 that holds exactly when a universal solution exists, so it
+// reads the engine's chase state: an egd failure means no.
+func (sc *scenario) exists(opt chase.Options) (bool, error) {
+	err := sc.engine.View(opt, func(*instance.Instance) {})
+	if chase.IsEgdFailure(err) {
+		return false, nil
+	}
+	return err == nil, err
+}
+
 // scenarioSolutions supplies the certain-answer planner (certain.AnswersOn)
 // with the scenario's maintained solutions under one request's options: the
 // core and CanSol from their memos, and the universal solution in place
-// from the incremental engine, or from the chase memo for scenarios without
-// one. The engine path memoises no τ-reduct, so a mutated scenario that is
-// only queried keeps no copy of its chase result beside the engine's own.
+// from the incremental engine, which copies and memoises nothing for it.
 type scenarioSolutions struct {
 	sc  *scenario
 	opt chase.Options
 }
 
-func (p scenarioSolutions) Source() *instance.Instance { return p.sc.src() }
+func (p scenarioSolutions) Source() *instance.Instance { return p.sc.engine.SourceSnapshot() }
 
 func (p scenarioSolutions) Universal(f func(*instance.Instance)) error {
-	if p.sc.engine != nil {
-		return cwa.NoSolution(p.sc.engine.View(p.opt, f))
-	}
-	u, _, err := p.sc.chaseFor(p.opt)
-	if err != nil {
-		return cwa.NoSolution(err)
-	}
-	f(u)
-	return nil
+	return cwa.NoSolution(p.sc.engine.View(p.opt, f))
 }
 
 func (p scenarioSolutions) Core() (*instance.Instance, error) { return p.sc.coreFor(p.opt) }
 
 func (p scenarioSolutions) CanSol() (*instance.Instance, error) { return p.sc.cansolFor(p.opt) }
-
-// chased reports whether a successful chase result is memoized.
-func (sc *scenario) chased() (steps, atoms int, ok bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.universal == nil {
-		return 0, 0, false
-	}
-	return sc.chaseSteps, sc.universal.Len(), true
-}
 
 // registry holds the resident scenarios (LRU-bounded) and the result cache
 // (serialized successful response bodies, LRU-bounded, keyed by content).
@@ -296,9 +266,9 @@ func canonicalContent(settingText, sourceText string) (s *dependency.Setting, sr
 }
 
 // register parses and validates a setting and source, dedupes by content,
-// runs the registration chase for weakly acyclic settings, and stores the
-// scenario. The returned bool reports whether an existing content-identical
-// scenario was reused.
+// builds the scenario's engine (which chases weakly acyclic settings), and
+// stores the scenario. The returned bool reports whether an existing
+// content-identical scenario was reused.
 func (r *registry) register(name, settingText, sourceText string, opt chase.Options) (*scenario, bool, error) {
 	rawHash := sha256.Sum256([]byte(settingText + "\x00" + sourceText))
 	if name != "" {
@@ -368,33 +338,16 @@ func (r *registry) register(name, settingText, sourceText string, opt chase.Opti
 	}
 	r.mu.Unlock()
 
-	sc := &scenario{
-		id:          name,
-		contentID:   contentID,
-		rawHash:     rawHash,
-		settingText: canonical,
-		setting:     s,
-		source:      src,
-		weakly:      s.WeaklyAcyclic(),
-		richly:      s.RichlyAcyclic(),
-		initVersion: src.Version(),
-	}
-	// Registration chases only weakly acyclic settings, whose chase is
+	// The engine chases weakly acyclic settings here, whose chase is
 	// guaranteed to terminate (Proposition 6.6); anything else — including
-	// Turing-complete settings like D_halt — defers chasing to requests,
-	// which carry their own deadlines and budgets. An egd failure here is
-	// not a registration error: the scenario is kept and evaluation
-	// endpoints report no_solution per request. Weakly acyclic scenarios
-	// get an incremental engine: it runs this registration chase and then
-	// keeps the result maintained across source mutations.
-	if sc.weakly {
-		// A budget/deadline expiry here still returns a (dirty) engine,
-		// which re-saturates under the first request's own budget.
-		if eng, _ := incr.New(s, src, opt); eng != nil {
-			sc.engine = eng
-		}
-		sc.chaseFor(opt)
-	}
+	// Turing-complete settings like D_halt — is chased by requests, which
+	// carry their own deadlines and budgets. An egd failure is not a
+	// registration error: the scenario is kept and evaluation endpoints
+	// report no_solution per request. Nor is a budget or deadline expiry:
+	// the engine is left unchased and the first request chases again.
+	eng, _ := incr.New(s, src, opt)
+	sc := newScenario(name, contentID, canonical, s, eng, src.Version())
+	sc.rawHash = rawHash
 
 	// Durability before acknowledgement: the registration record must be in
 	// the WAL before the scenario becomes visible (and before the handler
@@ -544,19 +497,10 @@ func (r *registry) mutate(sc *scenario, muts []instance.Mutation, baseVersion ui
 	}
 	wasPristine := cur == sc.initVersion
 
-	var res incr.ApplyResult
-	var applyErr error
-	if sc.engine != nil {
-		res, applyErr = sc.engine.Apply(muts, opt)
-		if applyErr != nil && res.Version == 0 {
-			// Validation failure: nothing was applied.
-			return res, status.WithKind(applyErr, status.Usage)
-		}
-	} else {
-		var err error
-		if res, err = applyWithoutEngine(sc, muts); err != nil {
-			return res, status.WithKind(err, status.Usage)
-		}
+	res, applyErr := sc.engine.Apply(muts, opt)
+	if applyErr != nil && res.Version == 0 {
+		// Validation failure: nothing was applied.
+		return res, status.WithKind(applyErr, status.Usage)
 	}
 
 	changed := res.Inserted+res.Deleted > 0
@@ -573,16 +517,10 @@ func (r *registry) mutate(sc *scenario, muts []instance.Mutation, baseVersion ui
 	}
 	if changed {
 		metrics.ServerMutations.Inc()
-		// Swap in the new source and invalidate the derived memos; the
-		// result cache keys on the version, so entries for the old version
-		// can never be served again — the purge below only reclaims their
-		// space.
+		// Invalidate the derived memos; the result cache keys on the
+		// version, so entries for the old version can never be served
+		// again — the purge below only reclaims their space.
 		sc.mu.Lock()
-		if sc.engine != nil {
-			sc.source = sc.engine.SourceSnapshot()
-		}
-		sc.universal = nil
-		sc.chaseSteps = 0
 		sc.core = nil
 		sc.cansol = nil
 		sc.mu.Unlock()
@@ -603,49 +541,10 @@ func (r *registry) mutate(sc *scenario, muts []instance.Mutation, baseVersion ui
 		})
 	}
 	// applyErr here is a chase-level failure (budget, deadline) with the
-	// mutation already applied — the engine is dirty and will recover; the
-	// caller reports the error with the new version.
+	// mutation already applied — the engine is unchased and the next
+	// request chases again; the caller reports the error with the new
+	// version.
 	return res, applyErr
-}
-
-// applyWithoutEngine is the mutation path for scenarios without an
-// incremental engine (settings that are not weakly acyclic): validate,
-// apply to a fresh clone, swap. Derived results are recomputed from
-// scratch by the next request, under that request's own budget.
-func applyWithoutEngine(sc *scenario, muts []instance.Mutation) (incr.ApplyResult, error) {
-	for _, m := range muts {
-		arity, ok := sc.setting.Source[m.Atom.Rel]
-		if !ok {
-			return incr.ApplyResult{}, fmt.Errorf("%s is not a source relation", m.Atom.Rel)
-		}
-		if len(m.Atom.Args) != arity {
-			return incr.ApplyResult{}, fmt.Errorf("%s has arity %d, got %d arguments", m.Atom.Rel, arity, len(m.Atom.Args))
-		}
-		for _, v := range m.Atom.Args {
-			if !v.IsConst() {
-				return incr.ApplyResult{}, fmt.Errorf("source atom %v must be null-free", m.Atom)
-			}
-		}
-	}
-	next := sc.src().Clone()
-	var res incr.ApplyResult
-	for _, m := range muts {
-		if m.Insert {
-			if next.Add(m.Atom) {
-				res.Inserted++
-			}
-		} else {
-			if next.Remove(m.Atom) {
-				res.Deleted++
-			}
-		}
-	}
-	res.Version = next.Version()
-	res.Fallback = true
-	sc.mu.Lock()
-	sc.source = next
-	sc.mu.Unlock()
-	return res, nil
 }
 
 // mutatedNamespace is the result-key namespace of a scenario that has

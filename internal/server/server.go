@@ -5,9 +5,10 @@
 //
 // The design centers on amortization: a scenario (setting + source) is
 // POSTed once; the server parses it, validates acyclicity, compiles the
-// dependency and query plans (cached on the parsed Setting), chases weakly
-// acyclic settings eagerly, and memoizes the universal solution, core and
-// canonical solution. Successful response bodies are additionally cached
+// dependency and query plans (cached on the parsed Setting), and keeps the
+// chase result in the scenario's incremental engine — chased eagerly for
+// weakly acyclic settings, on first use otherwise — beside memoized core
+// and canonical solution. Successful response bodies are additionally cached
 // byte-for-byte in a content-keyed LRU, so identical requests are served
 // identically without re-evaluation (observable via the server_cache_hits
 // counter on /metricsz).

@@ -506,3 +506,38 @@ func TestChaseMemoServedToLaterRequests(t *testing.T) {
 		t.Fatalf("scenario info after chase = %+v, want memoized %d steps", info, first.Steps)
 	}
 }
+
+// chaseStepsMetric scrapes the chase_steps counter from /metricsz.
+func chaseStepsMetric(t *testing.T, c *client.Client) int {
+	t.Helper()
+	text, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^chase_steps (\d+)$`).FindStringSubmatch(text)
+	if m == nil {
+		t.Fatalf("/metricsz lacks chase_steps:\n%s", text)
+	}
+	n, _ := strconv.Atoi(m[1])
+	return n
+}
+
+// TestExistsReadsTheEngine: /v1/exists answers from the scenario's chase
+// state. A registered weakly acyclic scenario is already chased, so the
+// answer costs no chase step. (TestNoSolution404 covers the false answer.)
+func TestExistsReadsTheEngine(t *testing.T) {
+	_, _, c := newTestServer(t, server.Config{})
+	ctx := context.Background()
+	registerQuickstart(t, c, "ex")
+	before := chaseStepsMetric(t, c)
+	res, err := c.Exists(ctx, api.EvalRequest{Scenario: "ex"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Exists {
+		t.Fatal("Example 2.1 has a CWA-solution")
+	}
+	if after := chaseStepsMetric(t, c); after != before {
+		t.Fatalf("/v1/exists on a chased scenario moved chase_steps %d -> %d", before, after)
+	}
+}

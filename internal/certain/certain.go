@@ -406,25 +406,46 @@ func (sem Semantics) String() string {
 // enumeration inherits opt.Chase's context and step budget and opt.Workers
 // unless opt.Enum sets its own.
 func ByDefinition(s *dependency.Setting, q query.Evaluable, src *instance.Instance, sem Semantics, opt Options) (*query.TupleSet, error) {
-	enum := opt.Enum
+	return byDefinitionOn(s, q, FromSource(s, src, opt.enum().ChaseOptions), sem, opt)
+}
+
+// enum returns the enumeration options, defaulted from the chase options
+// and the worker count.
+func (o Options) enum() cwa.EnumOptions {
+	enum := o.Enum
 	if enum.ChaseOptions.Ctx == nil {
-		enum.ChaseOptions.Ctx = opt.Chase.Ctx
+		enum.ChaseOptions.Ctx = o.Chase.Ctx
 	}
 	if enum.ChaseOptions.MaxSteps == 0 {
-		enum.ChaseOptions.MaxSteps = opt.Chase.MaxSteps
+		enum.ChaseOptions.MaxSteps = o.Chase.MaxSteps
 	}
 	if enum.Workers == 0 {
-		enum.Workers = opt.Workers
+		enum.Workers = o.Workers
 	}
-	sols, err := cwa.Enumerate(s, src, enum)
+	return enum
+}
+
+// byDefinitionOn is ByDefinition over the universal solution that sols
+// supplies. The CWA-solutions are enumerated on it in place by
+// cwa.EnumerateOn, with the source read inside the callback so that both
+// are of the same version. Box or Diamond then runs on each solution
+// outside the callback.
+func byDefinitionOn(s *dependency.Setting, q query.Evaluable, sols Solutions, sem Semantics, opt Options) (*query.TupleSet, error) {
+	var cwas []*instance.Instance
+	var err error
+	if uerr := sols.Universal(func(u *instance.Instance) {
+		cwas, err = cwa.EnumerateOn(s, sols.Source(), u, opt.enum())
+	}); uerr != nil {
+		return nil, uerr
+	}
 	if err != nil {
 		return nil, err
 	}
-	if len(sols) == 0 {
+	if len(cwas) == 0 {
 		return nil, fmt.Errorf("certain: no CWA-solutions for the source instance")
 	}
 	var out *query.TupleSet
-	for _, t := range sols {
+	for _, t := range cwas {
 		var one *query.TupleSet
 		switch sem {
 		case CertainCap, CertainCup:

@@ -125,6 +125,8 @@ func Choose(s *dependency.Setting, q query.Evaluable, sem Semantics) Method {
 // chase egd failure.
 type Solutions interface {
 	// Source is the source instance, enumerated by the ByDef fallback.
+	// ByDef reads it inside Universal's callback, so that the source and
+	// the universal solution are of the same version.
 	Source() *instance.Instance
 	// Universal calls f with a universal solution, a τ-instance that need
 	// not be a CWA-solution. f must neither modify nor retain it.
@@ -179,7 +181,7 @@ func AnswersOn(s *dependency.Setting, q query.Evaluable, sols Solutions, sem Sem
 		err := sols.Universal(func(t *instance.Instance) { out = q.AnswerSet(t) })
 		return out, err
 	case ByDef:
-		return ByDefinition(s, q, sols.Source(), sem, opt)
+		return byDefinitionOn(s, q, sols, sem, opt)
 	}
 	var t *instance.Instance
 	var err error

@@ -121,7 +121,9 @@ func (c *countingSolutions) CanSol() (*instance.Instance, error) {
 }
 
 // TestAnswersOnReadsOnlyWhatTheMethodNeeds checks that each method reads
-// exactly one solution from its provider, and counts itself.
+// exactly one solution from its provider, and counts itself. ByDef reads
+// the source inside the universal solution's callback, to enumerate on
+// that solution.
 func TestAnswersOnReadsOnlyWhatTheMethodNeeds(t *testing.T) {
 	ex21 := mustSetting(t, example21)
 	egd := mustSetting(t, egdOnlySetting)
@@ -138,7 +140,7 @@ func TestAnswersOnReadsOnlyWhatTheMethodNeeds(t *testing.T) {
 		{genwl.FullTgds(), `R(a,b). R(b,c).`, mustFO(t, "(x) . exists y (T(x,y))"), MaybeCap, "universal"},
 		{ex21, smallSource, mustFO(t, "(x) . exists y (E(x,y))"), MaybeCap, "core"},
 		{egd, `N(a,b). W(a,e).`, mustUCQ(t, "q(x,y) :- F(x,y)."), MaybeCup, "cansol"},
-		{ex21, smallSource, mustUCQ(t, "q(x) :- E(x,y), y != x."), CertainCap, "source"},
+		{ex21, smallSource, mustUCQ(t, "q(x) :- E(x,y), y != x."), CertainCap, "universal source"},
 	}
 	for _, c := range cases {
 		m := Choose(c.s, c.q, c.sem)
@@ -147,7 +149,7 @@ func TestAnswersOnReadsOnlyWhatTheMethodNeeds(t *testing.T) {
 		if _, err := AnswersOn(c.s, c.q, sols, c.sem, Options{Workers: 1}); err != nil {
 			t.Fatalf("%v %v: %v", m, c.q, err)
 		}
-		if len(sols.reads) != 1 || sols.reads[0] != c.want {
+		if strings.Join(sols.reads, " ") != c.want {
 			t.Errorf("%v: read %v, want [%s]", m, sols.reads, c.want)
 		}
 		if got := planCounters[m].Load() - before; got != 1 {

@@ -1,0 +1,44 @@
+//go:build !race
+
+package cwa
+
+// Alloc guard for the in-place walk: EnumerateOn descends into each child
+// state on the walked instance and rolls it back on return, so a state
+// costs its closure's own atoms, not a copy of the instance. The walk takes
+// about 2,500 allocations here; one that cloned every child state would
+// exceed the budget.
+//
+// Excluded under -race: the race runtime instruments allocations and makes
+// AllocsPerRun meaningless there.
+
+import (
+	"testing"
+
+	"repro/internal/chase"
+	"repro/internal/genwl"
+)
+
+func TestEnumerateOnAllocBudget(t *testing.T) {
+	s := genwl.Example21()
+	src := paddedExample21Source(8)
+	u, err := chase.UniversalSolution(s, src, chase.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sols int
+	run := func() {
+		out, err := EnumerateOn(s, src, u, EnumOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sols = len(out)
+	}
+	run()
+	if sols != 3 {
+		t.Fatalf("%d solutions, want 3", sols)
+	}
+	const budget = 3000
+	if avg := testing.AllocsPerRun(20, run); avg > budget {
+		t.Errorf("EnumerateOn allocates %.0f objects/run on padded Example 2.1 (pad 8); budget is %d", avg, budget)
+	}
+}

@@ -33,24 +33,34 @@ func BenchmarkEnumerate_PaddedExample21(b *testing.B) {
 	}
 }
 
-// TestEnumeratePaddedStateBound pins the witness filter's effect with 16
-// padded facts. The walk must not visit a child state per padded constant:
-// trying every constant as a witness for E(a,z1) explored 141 states here.
-// Nor may it build and refute a witness tuple per constant at every
-// branch: that refuted 4232 tuples (EnumStats.PrunedUniversality) here.
+// TestEnumeratePaddedStateBound pins the witness filter's effect and the
+// forced firing of existential-free justifications on padded Example 2.1.
+// The walk must not visit a child state per padded constant: trying every
+// constant as a witness for E(a,z1) explored 141 states at pad 16. Nor may
+// it build and refute a witness tuple per constant at every branch: that
+// refuted 4232 tuples (EnumStats.PrunedUniversality) there. And a pad fact
+// fires the full s-t tgd M(x1,x2) → E(x1,x2) in the closure instead of
+// costing a state of its own, so the state count does not grow with the
+// pad at all (it was 33/37/45 at pad 4/8/16 while each firing was a state).
 func TestEnumeratePaddedStateBound(t *testing.T) {
-	var stats EnumStats
-	sols, err := Enumerate(genwl.Example21(), paddedExample21Source(16), EnumOptions{Workers: 1, Stats: &stats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sols) != 3 {
-		t.Fatalf("%d solutions, want 3", len(sols))
-	}
-	if stats.States > 60 {
-		t.Fatalf("explored %d states, want at most 60", stats.States)
-	}
-	if stats.PrunedUniversality > 200 {
-		t.Fatalf("pruned %d branches by universality, want at most 200", stats.PrunedUniversality)
+	want := -1
+	for _, pad := range []int{0, 4, 8, 16} {
+		var stats EnumStats
+		sols, err := Enumerate(genwl.Example21(), paddedExample21Source(pad), EnumOptions{Workers: 1, Stats: &stats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sols) != 3 {
+			t.Fatalf("pad=%d: %d solutions, want 3", pad, len(sols))
+		}
+		if want < 0 {
+			want = stats.States
+		}
+		if stats.States != want || stats.States > 30 {
+			t.Fatalf("pad=%d: explored %d states, want %d at every pad and at most 30", pad, stats.States, want)
+		}
+		if stats.PrunedUniversality > 200 {
+			t.Fatalf("pad=%d: pruned %d branches by universality, want at most 200", pad, stats.PrunedUniversality)
+		}
 	}
 }

@@ -23,8 +23,9 @@ type EnumOptions struct {
 	MaxSolutions int
 	// MaxNullsPerState prunes runaway branches (default 64).
 	MaxNullsPerState int
-	// ChaseOptions is used for the universality check; its Ctx also cancels
-	// the enumeration itself (Enumerate then returns chase.ErrCanceled).
+	// ChaseOptions bounds Enumerate's chase for the universal solution; its
+	// Ctx also cancels the enumeration itself (Enumerate and EnumerateOn
+	// then return chase.ErrCanceled).
 	ChaseOptions chase.Options
 	// Workers bounds the number of goroutines expanding branches
 	// concurrently (0 = GOMAXPROCS, 1 = sequential). The solution set is
@@ -37,7 +38,10 @@ type EnumOptions struct {
 
 // EnumStats reports how an enumeration went.
 type EnumStats struct {
-	// States is the number of search states explored.
+	// States is the number of search states explored. Justifications of
+	// existential-free tgds are not states: their only witness is the
+	// empty tuple, so they are fired in the closure of the state that
+	// discovers them.
 	States int
 	// PrunedEgd counts states discarded for violating an egd.
 	PrunedEgd int
@@ -45,7 +49,7 @@ type EnumStats struct {
 	// into the universal solution (Theorem 4.8): witness tuples whose head
 	// atoms hom.PrecheckRefute refutes before the child state is built,
 	// plus states whose target reduct has no homomorphism into it. Constants
-	// the witness filter drops before any tuple is formed (see Enumerate)
+	// the witness filter drops before any tuple is formed (see EnumerateOn)
 	// are not counted.
 	PrunedUniversality int
 	// Found is the number of CWA-solutions returned (up to isomorphism).
@@ -80,31 +84,10 @@ func (o EnumOptions) workers() int {
 var ErrEnumerationTruncated = errors.New("cwa: enumeration truncated by limits")
 
 // Enumerate exhaustively enumerates the CWA-solutions for src under s, up
-// to isomorphism (renaming of nulls).
-//
-// The search walks all successful α-chases: states are (instance, partial α)
-// pairs; at each state every justification whose α-value is already chosen
-// is fired to closure, then the first unresolved justification branches over
-// its possible witness tuples. Each existential variable ranges over the
-// state's nulls, fresh nulls in canonical order, and only those constants of
-// the active domain that the universal solution carries at every head
-// position the variable occupies. That is sufficient for CWA-solutions: they
-// are universal (Theorem 4.8), so every fired atom maps into the universal
-// solution with its constants fixed, and no other constant can be a witness.
-// Surviving tuples whose head atoms still cannot embed (an absent ground
-// atom, a null with no common image) are refuted before their child state
-// is built. States violating an egd are pruned (a successful chase never
-// applies an egd, Lemma 4.5). Complete states are filtered by universality
-// (Theorem 4.8) and deduplicated up to isomorphism.
-//
-// Branches are expanded by up to opt.Workers goroutines. Solutions are
-// reported in canonical null form, with the lexicographically least member
-// of each isomorphism class as representative, sorted — so the returned
-// slice is identical for every worker count (absent truncation).
-//
-// The error is ErrEnumerationTruncated when a bound was hit (the result may
-// then be incomplete), chase.ErrCanceled when opt.ChaseOptions.Ctx was
-// canceled, or a chase error from the universality check.
+// to isomorphism (renaming of nulls): it chases src for a universal
+// solution under opt.ChaseOptions and runs EnumerateOn on it. A source
+// whose chase fails on an egd has no solutions at all, which Enumerate
+// reports as an empty result, not an error.
 func Enumerate(s *dependency.Setting, src *instance.Instance, opt EnumOptions) ([]*instance.Instance, error) {
 	u, err := chase.UniversalSolution(s, src, opt.ChaseOptions)
 	if err != nil {
@@ -113,11 +96,46 @@ func Enumerate(s *dependency.Setting, src *instance.Instance, opt EnumOptions) (
 		}
 		return nil, err
 	}
+	return EnumerateOn(s, src, u, opt)
+}
 
+// EnumerateOn exhaustively enumerates the CWA-solutions for src under s, up
+// to isomorphism, given a universal solution u for src (its τ-reduct). u
+// serves only the prunes below, each of which asks whether a homomorphism
+// into u exists or whether u carries a constant at a head position; both
+// answers are the same for hom-equivalent instances, so any universal
+// solution for src gives the same result, not only the chase's. u is read
+// concurrently by the workers and must not change during the call.
+//
+// The search walks all successful α-chases: states are (instance, partial α)
+// pairs; at each state every justification whose α-value is already chosen
+// is fired to closure, then the first unresolved justification branches over
+// its possible witness tuples. A justification of an existential-free tgd
+// has the empty tuple as its only witness, so it counts as chosen from the
+// start and is fired in the closure. Each existential variable ranges over
+// the state's nulls, fresh nulls in canonical order, and only those
+// constants of the active domain that u carries at every head position the
+// variable occupies. That is sufficient for CWA-solutions: they are
+// universal (Theorem 4.8), so every fired atom maps into u with its
+// constants fixed, and no other constant can be a witness. Surviving tuples
+// whose head atoms still cannot embed (an absent ground atom, a null with
+// no common image) are refuted before their child state is built. States
+// violating an egd are pruned (a successful chase never applies an egd,
+// Lemma 4.5). Complete states are filtered by universality (Theorem 4.8)
+// and deduplicated up to isomorphism.
+//
+// Branches are expanded by up to opt.Workers goroutines. Solutions are
+// reported in canonical null form, with the lexicographically least member
+// of each isomorphism class as representative, sorted — so the returned
+// slice is identical for every worker count (absent truncation).
+//
+// The error is ErrEnumerationTruncated when a bound was hit (the result may
+// then be incomplete) or chase.ErrCanceled when opt.ChaseOptions.Ctx was
+// canceled.
+func EnumerateOn(s *dependency.Setting, src, u *instance.Instance, opt EnumOptions) ([]*instance.Instance, error) {
 	workers := opt.workers()
 	e := &enumerator{
 		s:         s,
-		src:       src,
 		universal: u,
 		opt:       opt,
 		univCache: newUnivMemo(univCacheCap),
@@ -135,7 +153,7 @@ func Enumerate(s *dependency.Setting, src *instance.Instance, opt EnumOptions) (
 		var ms []stMatch
 		if d.BodyAtoms != nil {
 			if srcReduct == nil {
-				srcReduct = src.Reduct(s.Source)
+				srcReduct = src.ReductView(s.Source)
 			}
 			envs, keys := chase.BodyEnvsKeyed(d, srcReduct)
 			ms = make([]stMatch, len(envs))
@@ -154,9 +172,9 @@ func Enumerate(s *dependency.Setting, src *instance.Instance, opt EnumOptions) (
 	e.allTGDs = s.AllTGDs()
 	// The walk carries only the target part of each state: every dependency
 	// evaluated during the walk is over τ (s-t matches are precomputed
-	// above), so the σ atoms would only be dead weight in the per-state
-	// clones, reducts and content keys. The source active domain still
-	// contributes witness candidates, via srcDom.
+	// above), so the σ atoms would only be dead weight in the walked
+	// instance, its clones and its content keys. The source active domain
+	// still contributes witness candidates, via srcDom.
 	e.srcDom = src.Dom()
 	e.walk(instance.New(), map[string]query.Binding{}, 0, nil, nil, nil, nil)
 	e.wg.Wait()
@@ -212,7 +230,6 @@ type openMatch struct {
 
 type enumerator struct {
 	s         *dependency.Setting
-	src       *instance.Instance
 	universal *instance.Instance
 	opt       EnumOptions
 	// stMatches holds the (constant) body matches of every s-t tgd, computed
@@ -226,8 +243,9 @@ type enumerator struct {
 	// univCache memoizes the universality prune by target-reduct content:
 	// whether a hom into the universal solution exists is a pure function of
 	// the reduct's atom set, and sibling branches frequently reach identical
-	// reducts. Sound because reducts are fresh instances never mutated after
-	// the check. LRU-bounded at univCacheCap so adversarial settings cannot
+	// reducts. The key is a snapshot of the content (instance.ContentKey),
+	// so rolling the walked instance back later leaves it valid.
+	// LRU-bounded at univCacheCap so adversarial settings cannot
 	// grow it without limit; an eviction only costs a recomputation.
 	univCache *univMemo
 
@@ -246,8 +264,8 @@ type enumerator struct {
 	// (instance.ContentKey): distinct chase branches frequently complete in
 	// the very same instance, and a repeat can change neither the
 	// isomorphism classes nor their representatives, so its canonical-form
-	// and isomorphism work is skipped. Sound only because emitted instances
-	// are never mutated afterwards (emit stores a fresh canonical copy).
+	// and isomorphism work is skipped. The walked instance is rolled back
+	// after emit, so emit stores a fresh canonical copy, never the instance.
 	seen map[string]struct{}
 }
 
@@ -257,21 +275,45 @@ func (e *enumerator) stopped() bool {
 	return e.truncated.Load() || e.canceled.Load()
 }
 
-// spawnOrWalk explores the state on a fresh goroutine when a worker slot is
-// free, inline otherwise. cur, alpha and fireAtoms must be private to the
-// callee; inherited, base and pending are shared read-only (see walk).
-func (e *enumerator) spawnOrWalk(cur *instance.Instance, alpha map[string]query.Binding, nextNull int64, inherited []openMatch, fireAtoms []instance.Atom, base *hom.Search, pending []instance.Atom) {
+// descend explores the child state that resolves the justification key
+// with witness w. A free worker slot takes the child on a goroutine of its
+// own, with its own copies of cur and alpha. Otherwise the child is walked
+// in place on cur and alpha and undone on return: the key is deleted and
+// cur rolled back to its mark, so the caller's state is as before the call.
+// inherited, fireAtoms, base and pending are shared read-only (see walk).
+func (e *enumerator) descend(cur *instance.Instance, alpha map[string]query.Binding, key string, w query.Binding, nextNull int64, inherited []openMatch, fireAtoms []instance.Atom, base *hom.Search, pending []instance.Atom) {
 	select {
 	case e.sem <- struct{}{}:
+		child := cur.Clone()
+		alpha2 := make(map[string]query.Binding, len(alpha)+1)
+		for k, v := range alpha {
+			alpha2[k] = v
+		}
+		alpha2[key] = w
 		e.wg.Add(1)
 		metrics.GoroutinesSpawned.Inc()
 		go func() {
 			defer func() { <-e.sem; e.wg.Done() }()
-			e.walk(cur, alpha, nextNull, inherited, fireAtoms, base, pending)
+			e.walk(child, alpha2, nextNull, inherited, fireAtoms, base, pending)
 		}()
 	default:
+		m := cur.Mark()
+		alpha[key] = w
 		e.walk(cur, alpha, nextNull, inherited, fireAtoms, base, pending)
+		delete(alpha, key)
+		cur.Rollback(m)
 	}
+}
+
+// witness returns the α-value of the justification key of d, reporting
+// whether it is chosen. An existential-free d is always chosen: the empty
+// tuple is its only witness, so its justifications need no branch.
+func witness(alpha map[string]query.Binding, d *dependency.TGD, key string) (query.Binding, bool) {
+	if len(d.Exists) == 0 {
+		return nil, true
+	}
+	w, ok := alpha[key]
+	return w, ok
 }
 
 // emit records a complete state's target reduct, deduplicating up to
@@ -350,10 +392,12 @@ func (e *enumerator) nfound() int {
 
 // walk explores the state (cur, alpha), where cur is the state's target
 // instance (the σ part of every state is the never-changing source, kept out
-// of the per-state clones; all dependencies fired here are over τ): fire
+// of the walked instance; all dependencies fired here are over τ): fire
 // chosen justifications to closure, prune on egd violations, then branch on
 // the first unresolved justification. nextNull is the next fresh null label
-// for canonical naming. cur and alpha are owned by this call.
+// for canonical naming. cur and alpha are owned by this call until it
+// returns; it leaves them extended by whatever the state fired, for the
+// caller to roll back (see descend).
 //
 // inherited, when non-nil, is the parent state's fixpoint match list and
 // fireAtoms the head atoms of the single newly resolved justification
@@ -368,7 +412,7 @@ func (e *enumerator) nfound() int {
 //
 // base and pending thread the incremental universality check: base is the
 // compiled hom search of the nearest ancestor state that materialized one,
-// pending the atoms added between that compile and this state's clone point
+// pending the atoms added between that compile and this state's entry
 // (states whose check was memoized or decided by the prefilter never
 // compile, so their deltas accumulate). Both are shared read-only across
 // siblings, pending under the same capacity-trim discipline as inherited.
@@ -407,7 +451,7 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding
 	// (always conjunctive) stay on the slot path.
 	var matches []openMatch
 	mStart := cur.Mark()
-	// The clone-point watermark: everything added from here to the fixpoint
+	// The entry watermark: everything added from here to the fixpoint
 	// is this state's delta over the atoms base already has compiled.
 	mBase := mStart
 	if inherited != nil {
@@ -421,7 +465,7 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding
 				for i := range ms {
 					m := &ms[i]
 					matches = append(matches, openMatch{d: d, senv: m.senv, env: m.env, key: m.key})
-					w, chosen := alpha[m.key]
+					w, chosen := witness(alpha, d, m.key)
 					if !chosen {
 						continue
 					}
@@ -445,7 +489,7 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding
 			for i, senv := range envs {
 				key := keys[i]
 				matches = append(matches, openMatch{d: d, senv: senv, key: key})
-				w, chosen := alpha[key]
+				w, chosen := witness(alpha, d, key)
 				if !chosen {
 					continue
 				}
@@ -485,7 +529,7 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding
 		mStart = mEnd
 		for _, m := range fresh {
 			matches = append(matches, m)
-			w, chosen := alpha[m.key]
+			w, chosen := witness(alpha, m.d, m.key)
 			if !chosen {
 				continue
 			}
@@ -537,7 +581,7 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding
 	var first *openMatch
 	for i := range matches {
 		cand := &matches[i]
-		if _, chosen := alpha[cand.key]; chosen {
+		if _, chosen := witness(alpha, cand.d, cand.key); chosen {
 			continue
 		}
 		if first == nil || cand.key < first.key {
@@ -557,10 +601,11 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding
 	// null, or a source or target constant the universal solution admits at
 	// the variable's head positions) or a fresh null; fresh nulls are
 	// introduced in canonical order to cut symmetry. Each complete witness
-	// explores its subtree on a free worker if available. Children inherit
-	// this state's fixpoint match list (capacity-trimmed so sibling appends
-	// never share a backing slot) and fire only the justification resolved
-	// here.
+	// explores its subtree on a free worker if available, in place on cur
+	// otherwise (descend). Children inherit this state's fixpoint match list
+	// (capacity-trimmed so sibling appends never share a backing slot) and
+	// fire only the justification resolved here. cands is computed before
+	// the first child runs; an in-place child restores cur on return.
 	handoff := matches[:len(matches):len(matches)]
 	d := first.d
 	k := len(d.Exists)
@@ -577,7 +622,7 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding
 				w[z] = assign[j]
 			}
 			// The head atoms this witness would fire. Instantiated here —
-			// before the clone — so the delta-only refute below can discard
+			// before descending — so the delta-only refute below can discard
 			// the child without ever materializing it; survivors carry the
 			// atoms along instead of re-instantiating in walk.
 			var atoms []instance.Atom
@@ -594,17 +639,12 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding
 			// in the child's subtree, and universality is antitone in the atom
 			// set, so if they alone cannot embed into the universal solution
 			// (posting-list arc consistency) the subtree holds no CWA-solution
-			// — skip the clone, the closure and the state entirely.
+			// — skip the closure and the state entirely.
 			if hom.PrecheckRefute(atoms, e.universal) {
 				e.prunedUniv.Add(1)
 				return
 			}
-			alpha2 := make(map[string]query.Binding, len(alpha)+1)
-			for kk, vv := range alpha {
-				alpha2[kk] = vv
-			}
-			alpha2[first.key] = w
-			e.spawnOrWalk(cur.Clone(), alpha2, nextNull+freshUsed, handoff, atoms, base, pending)
+			e.descend(cur, alpha, first.key, w, nextNull+freshUsed, handoff, atoms, base, pending)
 			return
 		}
 		for _, v := range cands[i] {

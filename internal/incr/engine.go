@@ -273,10 +273,12 @@ func (e *Engine) Solution(opt chase.Options) (*instance.Instance, error) {
 // τ-reduct of the chase fixpoint as a read-only view that shares the
 // engine's storage (instance.ReductView), after the same chase and
 // no-solution check as Solution. Unlike Solution it copies and memoises
-// nothing. f runs under the engine's lock, shared with other readers, so
-// mutations wait for it but Version, snapshots and other views do not; f
-// must neither modify the instance nor retain it, and must not call the
-// engine.
+// nothing. f runs under the engine's lock, shared with other readers:
+// other views, Version and snapshots do not wait for it, but a mutation
+// does, so a mutation of the scenario waits for an in-flight enumeration or
+// query on the view. f must neither modify the instance nor retain it. It
+// may call the lock-free SourceSnapshot, Version and Status; a source read
+// there is of the view's version. Any other engine method may deadlock.
 func (e *Engine) View(opt chase.Options, f func(*instance.Instance)) error {
 	return e.read(opt, func() { f(e.res.Instance().ReductView(e.s.Target)) })
 }

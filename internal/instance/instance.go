@@ -435,8 +435,9 @@ func (ins *Instance) EachPosValue(rel string, pos int, f func(v Value, count int
 // Mark is a watermark into the instance's insertion log: the delta between
 // two marks is the exact sequence of atoms added between them, in insertion
 // order. Marks are only meaningful on the instance they were taken from and
-// are invalidated by removals and value rewrites (check MarkValid); Clone
-// and Reduct reset the log, so marks do not carry over to copies.
+// are invalidated by removals and value rewrites (check MarkValid), and by a
+// Rollback to an earlier mark; Clone and Reduct reset the log, so marks do
+// not carry over to copies.
 type Mark struct {
 	epoch uint64
 	seq   int
@@ -480,6 +481,45 @@ func (ins *Instance) EachAddedBetween(from, to Mark, f func(a Atom) bool) bool {
 		}
 	}
 	return true
+}
+
+// Rollback removes every atom added since the mark, in reverse insertion
+// order, restoring the content, indexes and enumeration order the instance
+// had when m was taken. Marks at or before m stay valid; later ones do not.
+// It panics when m is no longer valid (a removal or value rewrite since m
+// renumbered or dropped rows the log refers to).
+//
+// A clone shares column and posting-list backings up to its own lengths,
+// relying on the parent only ever appending past them. Rollback shrinks
+// those slices, so it trims their capacities as well: the next Add then
+// reallocates instead of overwriting slots that a clone taken before the
+// rollback still reads.
+func (ins *Instance) Rollback(m Mark) {
+	if !ins.MarkValid(m) {
+		panic("instance: Rollback to a mark invalidated by a removal")
+	}
+	var kb [8 * 8]byte
+	for i := len(ins.seq) - 1; i >= m.seq; i-- {
+		// Without removals since m, every logged row was appended last to
+		// its relation, so undoing them newest first pops each one's tail.
+		ref := ins.seq[i]
+		r, row := ins.byID[ref.rel], ref.row
+		delete(r.byKey, string(r.appendRow(kb[:0], row)))
+		for p, col := range r.cols {
+			l := r.byPos[p][col[row]]
+			if n := len(l) - 1; n == 0 {
+				delete(r.byPos[p], col[row])
+			} else {
+				r.byPos[p][col[row]] = l[:n:n]
+			}
+			r.cols[p] = col[:row:row]
+		}
+		r.live[row>>6] &^= 1 << (uint(row) & 63)
+		r.nRows = int(row)
+		r.nLive--
+		ins.version++
+	}
+	ins.seq = ins.seq[:m.seq]
 }
 
 // ContentKey returns a compact byte-string key with the property that two

@@ -25,5 +25,6 @@ func (m Mutation) String() string {
 // inserted or removed (duplicate inserts and absent-atom removals do not
 // count). Clone and Reduct carry the counter over, so a snapshot's version
 // identifies the content state it was taken at. ReplaceValue advances the
-// counter through its removals and re-insertions.
+// counter through its removals and re-insertions, and Rollback by one per
+// atom it removes.
 func (ins *Instance) Version() uint64 { return ins.version }

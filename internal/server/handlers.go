@@ -511,6 +511,11 @@ func sortedAnswers(ts *query.TupleSet) [][]string {
 // handleEnum streams CWA-solutions as NDJSON: one api.EnumSolution line
 // per solution (smallest first), then an api.EnumSummary line. The bound
 // is req.Max capped by the server's MaxEnumSolutions.
+//
+// The enumeration runs on the engine's maintained universal solution in
+// place, with the source snapshot read inside the view so that both are of
+// the same version; a mutation of the scenario waits for it. A source
+// whose chase failed on an egd has no CWA-solutions: an empty stream.
 func (s *Server) handleEnum(w http.ResponseWriter, r *http.Request) {
 	req, sc, opt, cleanup, ok := s.eval(w, r)
 	if !ok {
@@ -525,11 +530,21 @@ func (s *Server) handleEnum(w http.ResponseWriter, r *http.Request) {
 	if workers <= 0 {
 		workers = s.cfg.Workers
 	}
-	sols, err := cwa.Enumerate(sc.setting, sc.engine.SourceSnapshot(), cwa.EnumOptions{
-		MaxSolutions: maxSols,
-		ChaseOptions: opt,
-		Workers:      workers,
+	var sols []*instance.Instance
+	var enumErr error
+	err := sc.engine.View(opt, func(u *instance.Instance) {
+		sols, enumErr = cwa.EnumerateOn(sc.setting, sc.engine.SourceSnapshot(), u, cwa.EnumOptions{
+			MaxSolutions: maxSols,
+			ChaseOptions: opt,
+			Workers:      workers,
+		})
 	})
+	switch {
+	case chase.IsEgdFailure(err):
+		err = nil // no solutions at all
+	case err == nil:
+		err = enumErr
+	}
 	truncated := errors.Is(err, cwa.ErrEnumerationTruncated)
 	if err != nil && !truncated {
 		writeError(w, err)

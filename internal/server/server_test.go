@@ -259,6 +259,11 @@ func TestSemigroupBudget422(t *testing.T) {
 
 	_, err = c.Exists(ctx, api.EvalRequest{Scenario: "demb", MaxSteps: 200})
 	wantAPIError(t, err, "budget_exceeded", 422)
+
+	// /v1/enum chases through the engine before it enumerates, under the
+	// same budget.
+	_, err = c.Enum(ctx, api.EvalRequest{Scenario: "demb", MaxSteps: 200}, nil)
+	wantAPIError(t, err, "budget_exceeded", 422)
 }
 
 // TestTuringDeadline504NoGoroutineLeak is the acceptance criterion: a 50ms

@@ -256,19 +256,6 @@ func BodyEnvsKeyed(d *dependency.TGD, cur *instance.Instance) ([][]instance.Valu
 	return envs, keys
 }
 
-// HeadAtomsSlots instantiates the tgd's head under a body slot environment
-// and a witness binding of the existential variables. Conjunctive bodies
-// only.
-func HeadAtomsSlots(d *dependency.TGD, benv []instance.Value, w query.Binding) []instance.Atom {
-	full := make([]instance.Value, d.HeadSlotsPlan().NumSlots())
-	copy(full, benv)
-	zs := d.ExistsSlots()
-	for i, z := range d.Exists {
-		full[zs[i]] = w[z]
-	}
-	return d.HeadTemplates().Instantiate(full)
-}
-
 // SatisfiesTGD reports whether the instance satisfies the tgd.
 func SatisfiesTGD(s *dependency.Setting, d *dependency.TGD, full *instance.Instance) bool {
 	bodyInst := tgdBodyInstance(s, d, full)

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/chase"
 	"repro/internal/genwl"
+	"repro/internal/incr"
+	"repro/internal/instance"
 	"repro/internal/metrics"
 )
 
@@ -29,6 +32,37 @@ func BenchmarkEnumerate_PaddedExample21(b *testing.B) {
 			}
 			b.ReportMetric(float64(stats.States), "states/op")
 			b.ReportMetric(float64(metrics.HomACRefutes.Load()-refutes)/float64(b.N), "ac_refutes/op")
+		})
+	}
+}
+
+// BenchmarkEnumerateOn_PaddedExample21 is the server's /v1/enum path on the
+// same scenarios: the universal solution is the incremental engine's
+// maintained chase result, computed once at registration, and each op runs
+// EnumerateOn on its target reduct inside Engine.View, one worker.
+func BenchmarkEnumerateOn_PaddedExample21(b *testing.B) {
+	s := genwl.Example21()
+	for _, pad := range []int{4, 8, 16} {
+		src := paddedExample21Source(pad)
+		b.Run(fmt.Sprintf("pad=%d", pad), func(b *testing.B) {
+			eng, err := incr.New(s, src, chase.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			var stats EnumStats
+			err = eng.View(chase.Options{}, func(u *instance.Instance) {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := EnumerateOn(s, eng.SourceSnapshot(), u, EnumOptions{Workers: 1, Stats: &stats}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(stats.States), "states/op")
 		})
 	}
 }

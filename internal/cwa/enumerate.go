@@ -21,7 +21,10 @@ type EnumOptions struct {
 	MaxStates int
 	// MaxSolutions stops after this many CWA-solutions (0 = unbounded).
 	MaxSolutions int
-	// MaxNullsPerState prunes runaway branches (default 64).
+	// MaxNullsPerState bounds the distinct nulls of every state, complete
+	// ones included, to prune runaway branches (default 64). A state over
+	// the bound is not explored and the result is reported truncated, so no
+	// returned solution has more nulls than the bound.
 	MaxNullsPerState int
 	// ChaseOptions bounds Enumerate's chase for the universal solution; its
 	// Ctx also cancels the enumeration itself (Enumerate and EnumerateOn
@@ -129,17 +132,25 @@ func Enumerate(s *dependency.Setting, src *instance.Instance, opt EnumOptions) (
 // of each isomorphism class as representative, sorted — so the returned
 // slice is identical for every worker count (absent truncation).
 //
-// The error is ErrEnumerationTruncated when a bound was hit (the result may
-// then be incomplete) or chase.ErrCanceled when opt.ChaseOptions.Ctx was
-// canceled.
+// src must be null-free, as for every chase. The error is
+// ErrEnumerationTruncated when a bound was hit (the result may then be
+// incomplete) or chase.ErrCanceled when opt.ChaseOptions.Ctx was canceled.
 func EnumerateOn(s *dependency.Setting, src, u *instance.Instance, opt EnumOptions) ([]*instance.Instance, error) {
-	workers := opt.workers()
+	if src.HasNulls() {
+		return nil, errors.New("cwa: source instance must be null-free")
+	}
+	return newEnumerator(s, src, u, opt).run()
+}
+
+// newEnumerator prepares the walk of EnumerateOn: the s-t matches and the
+// witness pools, both read-only from then on.
+func newEnumerator(s *dependency.Setting, src, u *instance.Instance, opt EnumOptions) *enumerator {
 	e := &enumerator{
 		s:         s,
 		universal: u,
 		opt:       opt,
 		univCache: newUnivMemo(univCacheCap),
-		sem:       make(chan struct{}, workers-1),
+		sem:       make(chan struct{}, opt.workers()-1),
 	}
 	// s-t tgd bodies are evaluated on the σ-reduct, which never changes
 	// during the walk (states only add target atoms; egd violations prune
@@ -170,13 +181,24 @@ func EnumerateOn(s *dependency.Setting, src, u *instance.Instance, opt EnumOptio
 		e.stMatches[d] = ms
 	}
 	e.allTGDs = s.AllTGDs()
+	e.pools = make(map[*dependency.TGD][][]poolConst)
+	for _, d := range e.allTGDs {
+		if len(d.Exists) > 0 {
+			e.pools[d] = witnessConsts(d, src, u)
+		}
+	}
+	return e
+}
+
+// run walks every successful α-chase from the empty target instance and
+// returns the sorted representatives (see EnumerateOn).
+func (e *enumerator) run() ([]*instance.Instance, error) {
 	// The walk carries only the target part of each state: every dependency
-	// evaluated during the walk is over τ (s-t matches are precomputed
-	// above), so the σ atoms would only be dead weight in the walked
-	// instance, its clones and its content keys. The source active domain
-	// still contributes witness candidates, via srcDom.
-	e.srcDom = src.Dom()
-	e.walk(instance.New(), map[string]query.Binding{}, 0, nil, nil, nil, nil)
+	// evaluated during the walk is over τ (s-t matches are precomputed), so
+	// the σ atoms would only be dead weight in the walked instance, its
+	// clones and its content keys. The source active domain still supplies
+	// witness constants, through the pools.
+	e.walk(instance.New(), map[string][]instance.Value{}, 0, nil, nil, nil, nil)
 	e.wg.Wait()
 
 	sort.Slice(e.found, func(i, j int) bool { return e.found[i].key < e.found[j].key })
@@ -184,8 +206,8 @@ func EnumerateOn(s *dependency.Setting, src, u *instance.Instance, opt EnumOptio
 	for i, f := range e.found {
 		out[i] = f.t
 	}
-	if opt.Stats != nil {
-		*opt.Stats = EnumStats{
+	if e.opt.Stats != nil {
+		*e.opt.Stats = EnumStats{
 			States:             int(e.states.Load()),
 			PrunedEgd:          int(e.prunedEgd.Load()),
 			PrunedUniversality: int(e.prunedUniv.Load()),
@@ -193,7 +215,7 @@ func EnumerateOn(s *dependency.Setting, src, u *instance.Instance, opt EnumOptio
 			Truncated:          e.truncated.Load(),
 		}
 	}
-	if err := chase.ContextErr(opt.ChaseOptions.Ctx); err != nil {
+	if err := chase.ContextErr(e.opt.ChaseOptions.Ctx); err != nil {
 		return out, err
 	}
 	if e.truncated.Load() {
@@ -236,9 +258,14 @@ type enumerator struct {
 	// once in Enumerate; matches and keys are shared read-only.
 	stMatches map[*dependency.TGD][]stMatch
 	allTGDs   []*dependency.TGD
-	// srcDom is the source active domain (sorted); merged with each state's
-	// target domain to form the witness candidate pool.
-	srcDom []instance.Value
+	// pools holds, for each tgd with existentials and each of its
+	// existential variables, the constants a witness may take anywhere in
+	// the walk (see witnessConsts); a branch filters them to its active
+	// domain (see pool).
+	pools map[*dependency.TGD][][]poolConst
+	// poolHook, when set, is called with every branch's witness pool. Tests
+	// use it to crosscheck the pool against its definition.
+	poolHook func(d *dependency.TGD, cur *instance.Instance, pool [][]instance.Value)
 
 	// univCache memoizes the universality prune by target-reduct content:
 	// whether a hom into the universal solution exists is a pure function of
@@ -277,24 +304,27 @@ func (e *enumerator) stopped() bool {
 
 // descend explores the child state that resolves the justification key
 // with witness w. A free worker slot takes the child on a goroutine of its
-// own, with its own copies of cur and alpha. Otherwise the child is walked
-// in place on cur and alpha and undone on return: the key is deleted and
-// cur rolled back to its mark, so the caller's state is as before the call.
-// inherited, fireAtoms, base and pending are shared read-only (see walk).
-func (e *enumerator) descend(cur *instance.Instance, alpha map[string]query.Binding, key string, w query.Binding, nextNull int64, inherited []openMatch, fireAtoms []instance.Atom, base *hom.Search, pending []instance.Atom) {
+// own, with its own copies of cur, alpha and fireAtoms. Otherwise the child
+// is walked in place on cur and alpha and undone on return: the key is
+// deleted and cur rolled back to its mark, so the caller's state is as
+// before the call. fireAtoms may be the caller's scratch buffer: the inline
+// child adds them to cur on entry, before the caller can reuse it.
+// inherited, base and pending are shared read-only (see walk).
+func (e *enumerator) descend(cur *instance.Instance, alpha map[string][]instance.Value, key string, w []instance.Value, nextNull int64, inherited []openMatch, fireAtoms []instance.Atom, base *hom.Search, pending []instance.Atom) {
 	select {
 	case e.sem <- struct{}{}:
 		child := cur.Clone()
-		alpha2 := make(map[string]query.Binding, len(alpha)+1)
+		alpha2 := make(map[string][]instance.Value, len(alpha)+1)
 		for k, v := range alpha {
 			alpha2[k] = v
 		}
 		alpha2[key] = w
+		atoms := ownAtoms(fireAtoms)
 		e.wg.Add(1)
 		metrics.GoroutinesSpawned.Inc()
 		go func() {
 			defer func() { <-e.sem; e.wg.Done() }()
-			e.walk(child, alpha2, nextNull, inherited, fireAtoms, base, pending)
+			e.walk(child, alpha2, nextNull, inherited, atoms, base, pending)
 		}()
 	default:
 		m := cur.Mark()
@@ -305,10 +335,27 @@ func (e *enumerator) descend(cur *instance.Instance, alpha map[string]query.Bind
 	}
 }
 
-// witness returns the α-value of the justification key of d, reporting
-// whether it is chosen. An existential-free d is always chosen: the empty
-// tuple is its only witness, so its justifications need no branch.
-func witness(alpha map[string]query.Binding, d *dependency.TGD, key string) (query.Binding, bool) {
+// ownAtoms copies atoms, their arguments carved from one backing array.
+func ownAtoms(atoms []instance.Atom) []instance.Atom {
+	n := 0
+	for _, a := range atoms {
+		n += len(a.Args)
+	}
+	flat := make([]instance.Value, 0, n)
+	out := make([]instance.Atom, len(atoms))
+	for i, a := range atoms {
+		start := len(flat)
+		flat = append(flat, a.Args...)
+		out[i] = instance.Atom{Rel: a.Rel, Args: flat[start:len(flat):len(flat)]}
+	}
+	return out
+}
+
+// witness returns the α-value of the justification key of d, its values in
+// the order of d.Exists, reporting whether it is chosen. An
+// existential-free d is always chosen: the empty tuple is its only witness,
+// so its justifications need no branch.
+func witness(alpha map[string][]instance.Value, d *dependency.TGD, key string) ([]instance.Value, bool) {
 	if len(d.Exists) == 0 {
 		return nil, true
 	}
@@ -316,10 +363,47 @@ func witness(alpha map[string]query.Binding, d *dependency.TGD, key string) (que
 	return w, ok
 }
 
+// fire adds to cur the head atoms of d under a body match and a witness
+// tuple w (in the order of d.Exists): through the slot templates for a
+// conjunctive body (senv), through a Binding for an FO s-t body (env).
+func fire(cur *instance.Instance, d *dependency.TGD, senv []instance.Value, env query.Binding, w []instance.Value) {
+	if senv == nil {
+		for _, a := range headAtomsFO(d, env, w) {
+			cur.Add(a)
+		}
+		return
+	}
+	var buf [16]instance.Value
+	var full []instance.Value
+	if n := d.HeadSlotsPlan().NumSlots(); n > len(buf) {
+		full = make([]instance.Value, n)
+	} else {
+		full = buf[:n]
+	}
+	copy(full, senv)
+	for i, slot := range d.ExistsSlots() {
+		full[slot] = w[i]
+	}
+	d.HeadTemplates().AddTo(cur, full)
+}
+
+// headAtomsFO instantiates the head of d, whose s-t body is not
+// conjunctive, under its body match env and witness tuple w.
+func headAtomsFO(d *dependency.TGD, env query.Binding, w []instance.Value) []instance.Atom {
+	full := env.Clone()
+	for i, z := range d.Exists {
+		full[z] = w[i]
+	}
+	return chase.HeadAtoms(d, full)
+}
+
 // emit records a complete state's target reduct, deduplicating up to
 // isomorphism. Each isomorphism class keeps the lexicographically least
 // canonical form seen, so the final (sorted) output does not depend on
-// discovery order and hence not on the worker count.
+// discovery order and hence not on the worker count. The canonical key and
+// the isomorphism checks read the walked instance t directly (both are
+// invariant under renaming nulls); the canonical instance is built only for
+// a state that becomes a class's representative.
 func (e *enumerator) emit(t *instance.Instance, ck string) {
 	e.mu.Lock()
 	if _, dup := e.seen[ck]; dup {
@@ -331,19 +415,18 @@ func (e *enumerator) emit(t *instance.Instance, ck string) {
 	}
 	e.seen[ck] = struct{}{}
 	e.mu.Unlock()
-	c := hom.CanonicalNullForm(t)
-	key := c.String()
+	key := hom.CanonicalNullString(t)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, prev := range e.found {
-		if hom.Isomorphic(prev.t, c) {
+		if hom.Isomorphic(prev.t, t) {
 			if key < prev.key {
-				prev.t, prev.key = c, key
+				prev.t, prev.key = hom.CanonicalNullForm(t), key
 			}
 			return
 		}
 	}
-	e.found = append(e.found, &foundSol{t: c, key: key})
+	e.found = append(e.found, &foundSol{t: hom.CanonicalNullForm(t), key: key})
 	if e.opt.MaxSolutions > 0 && len(e.found) >= e.opt.MaxSolutions {
 		e.truncated.Store(true)
 	}
@@ -416,7 +499,7 @@ func (e *enumerator) nfound() int {
 // (states whose check was memoized or decided by the prefilter never
 // compile, so their deltas accumulate). Both are shared read-only across
 // siblings, pending under the same capacity-trim discipline as inherited.
-func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding, nextNull int64, inherited []openMatch, fireAtoms []instance.Atom, base *hom.Search, pending []instance.Atom) {
+func (e *enumerator) walk(cur *instance.Instance, alpha map[string][]instance.Value, nextNull int64, inherited []openMatch, fireAtoms []instance.Atom, base *hom.Search, pending []instance.Atom) {
 	if err := chase.ContextErr(e.opt.ChaseOptions.Ctx); err != nil {
 		e.canceled.Store(true)
 		return
@@ -430,7 +513,9 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding
 		e.truncated.Store(true)
 		return
 	}
-	if cur.NullCount() > e.opt.maxNulls() {
+	// The state's nulls are exactly _0 … _(nextNull−1): each fresh null
+	// lands in a new atom, since every existential occurs in its tgd's head.
+	if nextNull > int64(e.opt.maxNulls()) {
 		e.truncated.Store(true)
 		return
 	}
@@ -465,22 +550,8 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding
 				for i := range ms {
 					m := &ms[i]
 					matches = append(matches, openMatch{d: d, senv: m.senv, env: m.env, key: m.key})
-					w, chosen := witness(alpha, d, m.key)
-					if !chosen {
-						continue
-					}
-					var atoms []instance.Atom
-					if m.senv != nil {
-						atoms = chase.HeadAtomsSlots(d, m.senv, w)
-					} else {
-						full := m.env.Clone()
-						for z, v := range w {
-							full[z] = v
-						}
-						atoms = chase.HeadAtoms(d, full)
-					}
-					for _, a := range atoms {
-						cur.Add(a)
+					if w, chosen := witness(alpha, d, m.key); chosen {
+						fire(cur, d, m.senv, m.env, w)
 					}
 				}
 				continue
@@ -489,12 +560,8 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding
 			for i, senv := range envs {
 				key := keys[i]
 				matches = append(matches, openMatch{d: d, senv: senv, key: key})
-				w, chosen := witness(alpha, d, key)
-				if !chosen {
-					continue
-				}
-				for _, a := range chase.HeadAtomsSlots(d, senv, w) {
-					cur.Add(a)
+				if w, chosen := witness(alpha, d, key); chosen {
+					fire(cur, d, senv, nil, w)
 				}
 			}
 		}
@@ -529,12 +596,8 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding
 		mStart = mEnd
 		for _, m := range fresh {
 			matches = append(matches, m)
-			w, chosen := witness(alpha, m.d, m.key)
-			if !chosen {
-				continue
-			}
-			for _, a := range chase.HeadAtomsSlots(m.d, m.senv, w) {
-				cur.Add(a)
+			if w, chosen := witness(alpha, m.d, m.key); chosen {
+				fire(cur, m.d, m.senv, nil, w)
 			}
 		}
 	}
@@ -597,43 +660,52 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding
 	}
 
 	// Branch over witness tuples for the unresolved justification: each
-	// existential variable takes one of its witness candidates (an existing
-	// null, or a source or target constant the universal solution admits at
-	// the variable's head positions) or a fresh null; fresh nulls are
-	// introduced in canonical order to cut symmetry. Each complete witness
-	// explores its subtree on a free worker if available, in place on cur
-	// otherwise (descend). Children inherit this state's fixpoint match list
-	// (capacity-trimmed so sibling appends never share a backing slot) and
-	// fire only the justification resolved here. cands is computed before
-	// the first child runs; an in-place child restores cur on return.
+	// existential variable takes one of its witness pool's values (an
+	// existing null, or a source or target constant the universal solution
+	// admits at the variable's head positions) or a fresh null; fresh nulls
+	// are introduced in canonical order to cut symmetry. Each complete
+	// witness explores its subtree on a free worker if available, in place
+	// on cur otherwise (descend). Children inherit this state's fixpoint
+	// match list (capacity-trimmed so sibling appends never share a backing
+	// slot) and fire only the justification resolved here. The pool is
+	// computed before the first child runs; an in-place child restores cur
+	// on return.
 	handoff := matches[:len(matches):len(matches)]
 	d := first.d
 	k := len(d.Exists)
-	cands := witnessCandidates(d, mergeDom(e.srcDom, cur.Dom()), e.universal)
+	pool := e.pool(d, cur, nextNull)
+	if e.poolHook != nil {
+		e.poolHook(d, cur, pool)
+	}
 	assign := make([]instance.Value, k)
+	// Each witness tuple's head atoms are instantiated into one scratch
+	// buffer (conjunctive bodies), so a refuted tuple allocates nothing.
+	var full []instance.Value
+	var scratch []instance.Atom
+	if first.senv != nil {
+		full = make([]instance.Value, d.HeadSlotsPlan().NumSlots())
+		copy(full, first.senv)
+		scratch = d.HeadTemplates().Scratch()
+	}
 	var rec func(i int, freshUsed int64)
 	rec = func(i int, freshUsed int64) {
 		if e.stopped() {
 			return
 		}
 		if i == k {
-			w := make(query.Binding, k)
-			for j, z := range d.Exists {
-				w[z] = assign[j]
-			}
 			// The head atoms this witness would fire. Instantiated here —
 			// before descending — so the delta-only refute below can discard
 			// the child without ever materializing it; survivors carry the
 			// atoms along instead of re-instantiating in walk.
 			var atoms []instance.Atom
-			if first.senv != nil {
-				atoms = chase.HeadAtomsSlots(d, first.senv, w)
-			} else {
-				full := first.env.Clone()
-				for z, v := range w {
-					full[z] = v
+			if scratch != nil {
+				for j, slot := range d.ExistsSlots() {
+					full[slot] = assign[j]
 				}
-				atoms = chase.HeadAtoms(d, full)
+				d.HeadTemplates().Fill(full, scratch)
+				atoms = scratch
+			} else {
+				atoms = headAtomsFO(d, first.env, assign)
 			}
 			// Pre-spawn prune: the fired atoms are a subset of every instance
 			// in the child's subtree, and universality is antitone in the atom
@@ -644,10 +716,11 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding
 				e.prunedUniv.Add(1)
 				return
 			}
+			w := append([]instance.Value(nil), assign...)
 			e.descend(cur, alpha, first.key, w, nextNull+freshUsed, handoff, atoms, base, pending)
 			return
 		}
-		for _, v := range cands[i] {
+		for _, v := range pool[i] {
 			assign[i] = v
 			rec(i+1, freshUsed)
 		}
@@ -664,57 +737,79 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string]query.Binding
 	rec(0, 0)
 }
 
-// witnessCandidates returns, for each existential variable z of d, the
-// values of dom that z may take, in dom's order: every null, and each
-// constant that u carries at every head position z occupies. A homomorphism
-// fixes constants, so a firing that puts constant c at position p of R can
-// embed into u only if some R-atom of u has c at p; otherwise no state
-// below the firing is universal, and by Theorem 4.8 none is a CWA-solution.
-// PrecheckRefute would refute every such tuple; dropping the value here
-// means the tuples are never built.
-func witnessCandidates(d *dependency.TGD, dom []instance.Value, u *instance.Instance) [][]instance.Value {
-	out := make([][]instance.Value, len(d.Exists))
+// poolConst is a constant of a witness pool, with whether it lies in the
+// source's active domain and so in every state's.
+type poolConst struct {
+	v     instance.Value
+	inSrc bool
+}
+
+// witnessConsts returns, for each existential variable z of d, the
+// constants that u carries at every head position z occupies, in the order
+// of instance.Less. A homomorphism fixes constants, so a firing that puts
+// constant c at position p of R can embed into u only if some R-atom of u
+// has c at p; otherwise no state below the firing is universal, and by
+// Theorem 4.8 none is a CWA-solution. PrecheckRefute would refute every
+// tuple with such a value; leaving it out of the pool means the tuples are
+// never built.
+func witnessConsts(d *dependency.TGD, src, u *instance.Instance) [][]poolConst {
+	type headPos struct {
+		rel string
+		pos int
+	}
+	out := make([][]poolConst, len(d.Exists))
 	for j, z := range d.Exists {
-		c := make([]instance.Value, 0, len(dom))
-	values:
-		for _, v := range dom {
-			if v.IsConst() {
-				for _, a := range d.Head {
-					for p, t := range a.Terms {
-						if t.Var == z && !u.PosHasValue(a.Rel, p, v) {
-							continue values
-						}
-					}
+		var occ []headPos
+		for _, a := range d.Head {
+			for p, t := range a.Terms {
+				if t.Var == z {
+					occ = append(occ, headPos{a.Rel, p})
 				}
 			}
-			c = append(c, v)
 		}
-		out[j] = c
+		// z occurs in d's head, as every existential variable does.
+		var cs []instance.Value
+		u.EachPosValue(occ[0].rel, occ[0].pos, func(v instance.Value, _ int) bool {
+			if v.IsConst() {
+				for _, o := range occ[1:] {
+					if !u.PosHasValue(o.rel, o.pos, v) {
+						return true
+					}
+				}
+				cs = append(cs, v)
+			}
+			return true
+		})
+		hom.SortValues(cs)
+		pc := make([]poolConst, len(cs))
+		for i, c := range cs {
+			pc[i] = poolConst{v: c, inSrc: src.HasValue(c)}
+		}
+		out[j] = pc
 	}
 	return out
 }
 
-// mergeDom returns the sorted union of two sorted domains (the order of
-// instance.Dom), so mergeDom(Dom(S), Dom(T)) == Dom(S ∪ T).
-func mergeDom(a, b []instance.Value) []instance.Value {
-	out := make([]instance.Value, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case instance.Less(a[i], b[j]):
-			out = append(out, a[i])
-			i++
-		default:
-			out = append(out, b[j])
-			j++
+// pool returns the witness pool of each existential variable of d at the
+// state cur with nulls _0 … _(nextNull−1): the variable's witness constants
+// that lie in the state's active domain (the source's plus cur's), then
+// those nulls, in the order of instance.Less. A constant outside both, such
+// as a head constant of a tgd not yet fired, is no witness.
+func (e *enumerator) pool(d *dependency.TGD, cur *instance.Instance, nextNull int64) [][]instance.Value {
+	cs := e.pools[d]
+	out := make([][]instance.Value, len(cs))
+	for j, c := range cs {
+		p := make([]instance.Value, 0, len(c)+int(nextNull))
+		for _, pc := range c {
+			if pc.inSrc || cur.HasValue(pc.v) {
+				p = append(p, pc.v)
+			}
 		}
+		for l := int64(0); l < nextNull; l++ {
+			p = append(p, instance.Null(l))
+		}
+		out[j] = p
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
 	return out
 }
 
@@ -787,11 +882,33 @@ func incomparableRow(sols []*instance.Instance, pairwise [][]bool, i int) {
 }
 
 // SortBySize orders instances by atom count then string, for stable output.
+// Each instance is sized and rendered once, not once per comparison.
 func SortBySize(sols []*instance.Instance) {
-	sort.Slice(sols, func(i, j int) bool {
-		if sols[i].Len() != sols[j].Len() {
-			return sols[i].Len() < sols[j].Len()
-		}
-		return sols[i].String() < sols[j].String()
-	})
+	by := bySize{sols: sols, lens: make([]int, len(sols)), strs: make([]string, len(sols))}
+	for i, t := range sols {
+		by.lens[i], by.strs[i] = t.Len(), t.String()
+	}
+	sort.Sort(by)
+}
+
+// bySize sorts instances together with their sizes and renderings.
+type bySize struct {
+	sols []*instance.Instance
+	lens []int
+	strs []string
+}
+
+func (b bySize) Len() int { return len(b.sols) }
+
+func (b bySize) Less(i, j int) bool {
+	if b.lens[i] != b.lens[j] {
+		return b.lens[i] < b.lens[j]
+	}
+	return b.strs[i] < b.strs[j]
+}
+
+func (b bySize) Swap(i, j int) {
+	b.sols[i], b.sols[j] = b.sols[j], b.sols[i]
+	b.lens[i], b.lens[j] = b.lens[j], b.lens[i]
+	b.strs[i], b.strs[j] = b.strs[j], b.strs[i]
 }

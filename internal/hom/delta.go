@@ -140,16 +140,17 @@ func PrecheckRefute(atoms []instance.Atom, to *instance.Instance) bool {
 		metrics.HomACRefutes.Inc()
 		return true
 	}
-	// Gather each null's distinct (rel,pos) occurrences, in first-occurrence
-	// order, and refute on the spot for constants, ground atoms and missing
-	// relations.
-	occs := make(map[instance.Value][]searchOcc)
-	var order []instance.Value
+	// Gather the distinct (null, rel, pos) occurrences in first-occurrence
+	// order, in a stack buffer that a handful of nulls never outgrows, and
+	// refute on the spot for constants, ground atoms and missing relations.
+	var buf [16]nullOcc
+	occs := buf[:0]
 	for _, a := range atoms {
 		if to.Arity(a.Rel) != len(a.Args) || to.RelLen(a.Rel) == 0 {
 			return refute()
 		}
 		ground := true
+	args:
 		for i, v := range a.Args {
 			if v.IsConst() {
 				if !to.PosHasValue(a.Rel, i, v) {
@@ -158,20 +159,12 @@ func PrecheckRefute(atoms []instance.Atom, to *instance.Instance) bool {
 				continue
 			}
 			ground = false
-			l, seen := occs[v]
-			if !seen {
-				order = append(order, v)
-			}
-			dup := false
-			for _, o := range l {
-				if o.rel == a.Rel && o.pos == i {
-					dup = true
-					break
+			for _, o := range occs {
+				if o.v == v && o.rel == a.Rel && o.pos == i {
+					continue args
 				}
 			}
-			if !dup {
-				occs[v] = append(l, searchOcc{rel: a.Rel, pos: i})
-			}
+			occs = append(occs, nullOcc{v: v, searchOcc: searchOcc{rel: a.Rel, pos: i}})
 		}
 		// Every constant occurring at its position separately does not put
 		// the whole tuple in to: E(a,v) is absent from {E(a,b), E(u,v)}.
@@ -179,18 +172,26 @@ func PrecheckRefute(atoms []instance.Atom, to *instance.Instance) bool {
 			return refute()
 		}
 	}
-	for _, n := range order {
-		os := occs[n]
-		base := os[0]
-		for _, o := range os[1:] {
-			if to.PosDistinct(o.rel, o.pos) < to.PosDistinct(base.rel, base.pos) {
-				base = o
+nulls:
+	for i, n := range occs {
+		for _, o := range occs[:i] {
+			if o.v == n.v {
+				continue nulls // not n.v's first occurrence
+			}
+		}
+		// n.v's occurrences are occs[i:] carrying n.v; scan the values at
+		// the most selective one.
+		base := i
+		for j := i + 1; j < len(occs); j++ {
+			o := occs[j]
+			if o.v == n.v && to.PosDistinct(o.rel, o.pos) < to.PosDistinct(occs[base].rel, occs[base].pos) {
+				base = j
 			}
 		}
 		survives := false
-		to.EachPosValue(base.rel, base.pos, func(v instance.Value, _ int) bool {
-			for _, o := range os {
-				if o != base && !to.PosHasValue(o.rel, o.pos, v) {
+		to.EachPosValue(occs[base].rel, occs[base].pos, func(v instance.Value, _ int) bool {
+			for j := i; j < len(occs); j++ {
+				if o := occs[j]; j != base && o.v == n.v && !to.PosHasValue(o.rel, o.pos, v) {
 					return true
 				}
 			}
@@ -202,4 +203,10 @@ func PrecheckRefute(atoms []instance.Atom, to *instance.Instance) bool {
 		}
 	}
 	return false
+}
+
+// nullOcc is one (rel, pos) occurrence of a null, for PrecheckRefute.
+type nullOcc struct {
+	v instance.Value
+	searchOcc
 }

@@ -127,6 +127,25 @@ func TestPrecheckRefuteGroundAtom(t *testing.T) {
 	}
 }
 
+// PrecheckRefute runs once per candidate witness tuple in cwa.Enumerate,
+// so it must not allocate for a head of a few atoms and nulls, whether it
+// refutes or not.
+func TestPrecheckRefuteAllocFree(t *testing.T) {
+	a, b := instance.Const("a"), instance.Const("b")
+	to := instance.FromAtoms(instance.NewAtom("E", a, b), instance.NewAtom("F", b, a))
+	n0, n1, n2 := instance.Null(0), instance.Null(1), instance.Null(2)
+	open := []instance.Atom{instance.NewAtom("E", a, n0), instance.NewAtom("F", n0, n1), instance.NewAtom("E", n1, n2)}
+	refuted := []instance.Atom{instance.NewAtom("E", n0, n1), instance.NewAtom("F", n0, n2)}
+	if PrecheckRefute(open, to) || !PrecheckRefute(refuted, to) {
+		t.Fatal("unexpected verdicts")
+	}
+	for name, atoms := range map[string][]instance.Atom{"open": open, "refuted": refuted} {
+		if avg := testing.AllocsPerRun(50, func() { PrecheckRefute(atoms, to) }); avg != 0 {
+			t.Errorf("%s: PrecheckRefute allocates %.0f objects per call", name, avg)
+		}
+	}
+}
+
 // TestExtendSiblingsConcurrent extends one parent Search by many different
 // deltas from concurrent goroutines — the Enumerate walk's sharing pattern,
 // where sibling states extend their common ancestor's compiled search. Every

@@ -12,6 +12,8 @@ package hom
 
 import (
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/instance"
 	"repro/internal/metrics"
@@ -201,8 +203,7 @@ func Isomorphic(a, b *instance.Instance) bool {
 			return false
 		}
 	}
-	da, db := a.Dom(), b.Dom()
-	if len(da) != len(db) {
+	if a.DomSize() != b.DomSize() {
 		return false
 	}
 	_, ok := Find(a, b, Injective())
@@ -258,6 +259,56 @@ func CanonicalNullForm(t *instance.Instance) *instance.Instance {
 		}
 	}
 	return t.Map(ren)
+}
+
+// CanonicalNullString returns CanonicalNullForm(t).String() without
+// building the renamed instance: each atom is rendered under the renaming
+// into one shared buffer, and the rendered atoms are sorted in place.
+func CanonicalNullString(t *instance.Instance) string {
+	ren := make(map[instance.Value]int64)
+	n := t.Len()
+	buf := make([]byte, 0, 16*n)
+	spans := make([][2]int, 0, n)
+	for _, rel := range t.Relations() {
+		t.Tuples(rel, func(args []instance.Value) bool {
+			start := len(buf)
+			buf = append(buf, rel...)
+			buf = append(buf, '(')
+			for i, v := range args {
+				if i > 0 {
+					buf = append(buf, ',')
+				}
+				if v.IsConst() {
+					buf = append(buf, instance.ConstName(v)...)
+					continue
+				}
+				l, ok := ren[v]
+				if !ok {
+					l = int64(len(ren))
+					ren[v] = l
+				}
+				buf = append(buf, '_')
+				buf = strconv.AppendInt(buf, l, 10)
+			}
+			buf = append(buf, ')')
+			spans = append(spans, [2]int{start, len(buf)})
+			return true
+		})
+	}
+	sort.Slice(spans, func(i, j int) bool {
+		return string(buf[spans[i][0]:spans[i][1]]) < string(buf[spans[j][0]:spans[j][1]])
+	})
+	var b strings.Builder
+	b.Grow(len(buf) + 2*len(spans) + 2)
+	b.WriteByte('{')
+	for i, sp := range spans {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.Write(buf[sp[0]:sp[1]])
+	}
+	b.WriteByte('}')
+	return b.String()
 }
 
 // SortValues sorts a value slice under the canonical order.

@@ -1,8 +1,10 @@
 package hom
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/genwl"
 	"repro/internal/instance"
 )
 
@@ -197,5 +199,29 @@ func TestMappingApply(t *testing.T) {
 	img := m.ApplyInstance(atoms(instance.NewAtom("E", nl(0), nl(1))))
 	if !img.Has(instance.NewAtom("E", c("a"), nl(1))) {
 		t.Fatalf("ApplyInstance = %v", img)
+	}
+}
+
+// CanonicalNullString renders exactly CanonicalNullForm(t).String(), on
+// instances over several relations with shuffled null labels, constants
+// that sort between them, and dead rows left by removals.
+func TestCanonicalNullStringMatchesForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var next int64 = 7
+	for i := 0; i < 200; i++ {
+		ins := withRandomNulls(genwl.RandomEdges("E", 1+rng.Intn(8), rng.Int63()), rng, 0.5, &next)
+		ins.AddAll(withRandomNulls(genwl.RandomEdges("D", rng.Intn(4), rng.Int63()), rng, 0.5, &next))
+		ins.Add(instance.NewAtom("F", nl(rng.Int63n(next+1)), c("_0")))
+		for _, a := range ins.Atoms() {
+			if rng.Intn(4) == 0 {
+				ins.Remove(a)
+			}
+		}
+		if got, want := CanonicalNullString(ins), CanonicalNullForm(ins).String(); got != want {
+			t.Fatalf("CanonicalNullString(%v) = %s, want %s", ins, got, want)
+		}
+	}
+	if got := CanonicalNullString(instance.New()); got != "{}" {
+		t.Fatalf("empty instance renders %q", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Instance is a finite set of atoms over a fixed domain of constants and
@@ -58,6 +59,11 @@ type relation struct {
 	live  []uint64            // presence bitmap over row slots
 	byKey map[string]int32    // encoded live tuple -> row
 	byPos []map[Value][]int32 // position -> value -> ascending live row ids
+	// shared is the largest row count a clone has shared of the column and
+	// posting backings (see clone): rows below it may be read by a clone, so
+	// Rollback trims the backings' capacities only when it pops such a row.
+	// Clone is a read, so concurrent clones raise it with an atomic max.
+	shared atomic.Int32
 }
 
 func (r *relation) alive(row int32) bool {
@@ -115,27 +121,35 @@ func FromAtoms(atoms ...Atom) *Instance {
 func (ins *Instance) rel(name string, arity int) *relation {
 	r, ok := ins.rels[name]
 	if !ok {
-		r = &relation{
-			name:  name,
-			arity: arity,
-			id:    int32(len(ins.byID)),
-			cols:  make([][]Value, arity),
-			byKey: make(map[string]int32),
-			byPos: make([]map[Value][]int32, arity),
-		}
-		for i := range r.byPos {
-			r.byPos[i] = make(map[Value][]int32)
-		}
-		ins.rels[name] = r
-		ins.byID = append(ins.byID, r)
-		i := sort.SearchStrings(ins.names, name)
-		ins.names = append(ins.names, "")
-		copy(ins.names[i+1:], ins.names[i:])
-		ins.names[i] = name
+		// The new relation keeps a copy of the name, so no caller's atom
+		// escapes through it and Add's argument slices can stay on the
+		// caller's stack.
+		r = ins.newRel(string([]byte(name)), arity)
 	}
 	if r.arity != arity {
-		panic("instance: arity clash for relation " + name)
+		panic("instance: arity clash for relation " + r.name)
 	}
+	return r
+}
+
+func (ins *Instance) newRel(name string, arity int) *relation {
+	r := &relation{
+		name:  name,
+		arity: arity,
+		id:    int32(len(ins.byID)),
+		cols:  make([][]Value, arity),
+		byKey: make(map[string]int32),
+		byPos: make([]map[Value][]int32, arity),
+	}
+	for i := range r.byPos {
+		r.byPos[i] = make(map[Value][]int32)
+	}
+	ins.rels[name] = r
+	ins.byID = append(ins.byID, r)
+	i := sort.SearchStrings(ins.names, name)
+	ins.names = append(ins.names, "")
+	copy(ins.names[i+1:], ins.names[i:])
+	ins.names[i] = name
 	return r
 }
 
@@ -490,10 +504,13 @@ func (ins *Instance) EachAddedBetween(from, to Mark, f func(a Atom) bool) bool {
 // renumbered or dropped rows the log refers to).
 //
 // A clone shares column and posting-list backings up to its own lengths,
-// relying on the parent only ever appending past them. Rollback shrinks
-// those slices, so it trims their capacities as well: the next Add then
-// reallocates instead of overwriting slots that a clone taken before the
-// rollback still reads.
+// relying on the parent only ever appending past them. Popping a row below
+// the relation's shared watermark (the most rows any clone has shared)
+// therefore trims the capacities as well: the next Add then reallocates
+// instead of overwriting slots that a clone taken before the rollback still
+// reads. Popping a row at or above the watermark keeps the capacity, since
+// no clone reads that far, so an instance that is never cloned re-adds
+// after a rollback without reallocating its columns or posting lists.
 func (ins *Instance) Rollback(m Mark) {
 	if !ins.MarkValid(m) {
 		panic("instance: Rollback to a mark invalidated by a removal")
@@ -505,14 +522,22 @@ func (ins *Instance) Rollback(m Mark) {
 		ref := ins.seq[i]
 		r, row := ins.byID[ref.rel], ref.row
 		delete(r.byKey, string(r.appendRow(kb[:0], row)))
+		trim := row < r.shared.Load()
 		for p, col := range r.cols {
 			l := r.byPos[p][col[row]]
-			if n := len(l) - 1; n == 0 {
+			switch n := len(l) - 1; {
+			case n == 0:
 				delete(r.byPos[p], col[row])
-			} else {
+			case trim:
 				r.byPos[p][col[row]] = l[:n:n]
+			default:
+				r.byPos[p][col[row]] = l[:n]
 			}
-			r.cols[p] = col[:row:row]
+			if trim {
+				r.cols[p] = col[:row:row]
+			} else {
+				r.cols[p] = col[:row]
+			}
 		}
 		r.live[row>>6] &^= 1 << (uint(row) & 63)
 		r.nRows = int(row)
@@ -603,17 +628,27 @@ func (ins *Instance) Dom() []Value {
 	return out
 }
 
-// NullCount returns the number of distinct nulls in the active domain,
-// without the sort of Nulls (bound checks on hot paths only need the count).
-func (ins *Instance) NullCount() int {
+// DomSize returns the size of the active domain, without Dom's sort.
+func (ins *Instance) DomSize() int {
 	seen := make(map[Value]struct{})
 	ins.eachValue(func(v Value) bool {
-		if v.IsNull() {
-			seen[v] = struct{}{}
-		}
+		seen[v] = struct{}{}
 		return true
 	})
 	return len(seen)
+}
+
+// HasValue reports whether v occurs in the active domain: one position
+// index probe per relation position, no scan of the tuples.
+func (ins *Instance) HasValue(v Value) bool {
+	for _, r := range ins.rels {
+		for _, m := range r.byPos {
+			if len(m[v]) > 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Nulls returns the nulls of the active domain in increasing label order.
@@ -670,8 +705,15 @@ func (ins *Instance) MaxNullLabel() int64 {
 // copy reallocates instead of clobbering the other (in-place writes never
 // happen — removal replaces posting lists wholesale and clears bits in the
 // bitmap, which is copied). Only byKey, byPos (the maps themselves) and the
-// bitmap are materialized fresh.
+// bitmap are materialized fresh. It raises r's shared watermark to the row
+// count it shares, so a later Rollback on r knows which rows to protect.
 func (r *relation) clone(id int32) *relation {
+	for n := int32(r.nRows); ; {
+		s := r.shared.Load()
+		if s >= n || r.shared.CompareAndSwap(s, n) {
+			break
+		}
+	}
 	cp := &relation{
 		name:  r.name,
 		arity: r.arity,
@@ -966,6 +1008,7 @@ func (ins *Instance) maybeCompact(r *relation) {
 	}
 	r.cols, r.live, r.byKey, r.byPos = cols, live, byKey, byPos
 	r.nRows = int(next)
+	r.shared.Store(0) // the fresh backings are shared with no clone
 	ins.epoch++
 }
 

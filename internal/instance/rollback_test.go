@@ -172,3 +172,84 @@ func TestRollbackAcrossRemoveRefused(t *testing.T) {
 	}()
 	ins.Rollback(m)
 }
+
+// Rollback keeps capacity above the clone watermark and trims it below: a
+// clone taken mid-way, while the parent's backings have room to spare,
+// stays intact while the parent rolls back past its rows and re-adds, both
+// above the clone's rows (in place, into the kept capacity) and below them
+// (into reallocated backings).
+func TestRollbackAroundCloneWatermark(t *testing.T) {
+	a := Const("a")
+	val := func(i int) Value { return Const(fmt.Sprintf("w%d", i)) }
+	ins := New()
+	ins.Add(NewAtom("R", a, val(0)))
+	m0 := ins.Mark()
+	ins.Add(NewAtom("R", a, val(1)))
+	ins.Add(NewAtom("R", a, val(2)))
+	// Three rows in backings with room to spare: the clone shares rows
+	// 0..2 and the parent's next row lands in the same arrays.
+	if r := ins.rels["R"]; cap(r.cols[1]) == 3 || cap(r.byPos[0][a]) == 3 {
+		t.Fatal("precondition: the backings have no spare capacity")
+	}
+	c := ins.Clone()
+	want := c.String()
+	check := func(step string) {
+		t.Helper()
+		if got := c.String(); got != want {
+			t.Fatalf("%s: clone changed to %s, want %s", step, got, want)
+		}
+		h, _ := c.Relation("R", 2)
+		if rows := h.Postings(0, a); !reflect.DeepEqual(rows, []int32{0, 1, 2}) {
+			t.Fatalf("%s: clone postings for a = %v, want rows 0..2", step, rows)
+		}
+		if col := h.Cols()[1]; !reflect.DeepEqual(col, []Value{val(0), val(1), val(2)}) {
+			t.Fatalf("%s: clone column = %v", step, col)
+		}
+	}
+	// Above the watermark: row 3 is the parent's own, written in place.
+	m1 := ins.Mark()
+	for round := 0; round < 2; round++ {
+		ins.Add(NewAtom("R", a, val(10+round)))
+		check(fmt.Sprintf("above, round %d", round))
+		ins.Rollback(m1)
+		check(fmt.Sprintf("above, round %d rolled back", round))
+	}
+	// Below it: rows 1 and 2 are the clone's too.
+	ins.Rollback(m0)
+	for i := 0; i < 3; i++ {
+		ins.Add(NewAtom("R", a, val(100+i)))
+	}
+	check("below, re-added")
+	if got := ins.RelLen("R"); got != 4 {
+		t.Fatalf("parent holds %d atoms, want 4", got)
+	}
+	for i := 1; i <= 2; i++ {
+		if ins.Has(NewAtom("R", a, val(i))) {
+			t.Fatalf("parent still holds R(a,w%d) after the rollback", i)
+		}
+	}
+}
+
+// On an instance no clone shares, undoing an Add and redoing it reuses
+// the column and posting-list capacity: each Add allocates only its
+// tuple's key in the duplicate index.
+func TestRollbackKeepsCapacityWithoutClones(t *testing.T) {
+	a, b, c, d := Const("a"), Const("b"), Const("c"), Const("d")
+	ins := FromAtoms(NewAtom("R", a, b), NewAtom("R", c, d))
+	m := ins.Mark()
+	// Every value already occurs at its position before the mark, so no
+	// posting list is created or emptied.
+	atoms := []Atom{NewAtom("R", a, d), NewAtom("R", c, b)}
+	cycle := func() {
+		ins.Add(atoms[0])
+		ins.Add(atoms[1])
+		ins.Rollback(m)
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg > 2 {
+		t.Fatalf("two Adds and a Rollback allocate %.0f objects, want at most 2 (the keys)", avg)
+	}
+	if got := ins.String(); got != "{R(a,b), R(c,d)}" {
+		t.Fatalf("after the cycles: %s", got)
+	}
+}

@@ -28,22 +28,29 @@ func deltaBodyEnvs(d *dependency.TGD, cur *instance.Instance, delta []instance.A
 }
 
 // deltaState is the per-call scratch shared by the delta drivers: slot
-// buffers sized to the body plan and the justification-key dedup set.
+// buffers sized to the body plan and the justification-key dedup set. The
+// drivers start from the zero value and fill it in on the first delta atom
+// over one of the body's relations, so a delta holding none of them
+// allocates nothing.
 type deltaState struct {
 	buf  []instance.Value // delta result in body slot order
 	init []instance.Value // unified pre-bound slots (prefix used)
 	seen map[string]bool
 }
 
-func newDeltaState(d *dependency.TGD) *deltaState {
-	if d.BodyAtoms == nil {
-		panic("chase: deltaBodyEnvs requires a conjunctive body")
+func (st *deltaState) ensure(d *dependency.TGD) {
+	if st.seen != nil {
+		return
 	}
 	n := d.BodyPlan().NumSlots()
-	return &deltaState{
-		buf:  make([]instance.Value, n),
-		init: make([]instance.Value, n),
-		seen: make(map[string]bool),
+	st.buf = make([]instance.Value, n)
+	st.init = make([]instance.Value, n)
+	st.seen = make(map[string]bool)
+}
+
+func mustConjunctive(d *dependency.TGD) {
+	if d.BodyAtoms == nil {
+		panic("chase: deltaBodyEnvs requires a conjunctive body")
 	}
 }
 
@@ -54,6 +61,7 @@ func deltaAtomEnvs(d *dependency.TGD, cur *instance.Instance, st *deltaState, da
 		if ba.Rel != da.Rel || len(ba.Terms) != len(da.Args) {
 			continue
 		}
+		st.ensure(d)
 		if !d.DeltaUnifierFor(i).Unify(da.Args, st.init) {
 			continue
 		}
@@ -84,9 +92,10 @@ func deltaAtomEnvs(d *dependency.TGD, cur *instance.Instance, st *deltaState, da
 // the interval when d is a target tgd) unify with nothing and are skipped.
 // The env passed to f is reused — copy what you keep. f must not mutate cur.
 func DeltaBodyEnvsKeyedBetween(d *dependency.TGD, cur *instance.Instance, from, to instance.Mark, f func(env []instance.Value, key string) bool) {
-	st := newDeltaState(d)
+	mustConjunctive(d)
+	var st deltaState
 	cur.EachAddedBetween(from, to, func(da instance.Atom) bool {
-		return deltaAtomEnvs(d, cur, st, da, f)
+		return deltaAtomEnvs(d, cur, &st, da, f)
 	})
 }
 
@@ -96,9 +105,10 @@ func DeltaBodyEnvsKeyedBetween(d *dependency.TGD, cur *instance.Instance, from, 
 // states under chosen justifications this way). The env passed to f is
 // reused — copy what you keep. f must not mutate cur.
 func DeltaBodyEnvsKeyed(d *dependency.TGD, cur *instance.Instance, delta []instance.Atom, f func(env []instance.Value, key string) bool) {
-	st := newDeltaState(d)
+	mustConjunctive(d)
+	var st deltaState
 	for _, da := range delta {
-		if !deltaAtomEnvs(d, cur, st, da, f) {
+		if !deltaAtomEnvs(d, cur, &st, da, f) {
 			return
 		}
 	}

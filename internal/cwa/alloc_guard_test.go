@@ -8,9 +8,11 @@ package cwa
 // carries the witness pool instead of sorting a domain per branch, re-adds
 // after a rollback into the kept capacity, refutes witness tuples from
 // scratch buffers and builds a canonical instance only for a class
-// representative. The walk takes about 1,560 allocations here; it took
-// about 2,500 before those four, and one that cloned every child state
-// took 3,513.
+// representative. The walk takes about 1,500 allocations here; it took
+// about 1,560 while each delta round allocated its chase delta scratch up
+// front, about 2,500 before those four, and one that cloned every child
+// state took 3,513. The budget sits below 1,560, so the up-front delta
+// scratch would fail it.
 //
 // Excluded under -race: the race runtime instruments allocations and makes
 // AllocsPerRun meaningless there.
@@ -41,7 +43,7 @@ func TestEnumerateOnAllocBudget(t *testing.T) {
 	if sols != 3 {
 		t.Fatalf("%d solutions, want 3", sols)
 	}
-	const budget = 1720
+	const budget = 1540
 	if avg := testing.AllocsPerRun(20, run); avg > budget {
 		t.Errorf("EnumerateOn allocates %.0f objects/run on padded Example 2.1 (pad 8); budget is %d", avg, budget)
 	}

@@ -258,14 +258,18 @@ func (g *DependencyGraph) Ranks() map[Position]int {
 
 // WeaklyAcyclic reports whether the setting is weakly acyclic
 // (Definition 6.5): no cycle of the dependency graph of Σt contains an
-// existential edge.
+// existential edge. The test runs once per Setting; later calls read the
+// memoised answer.
 func (s *Setting) WeaklyAcyclic() bool {
-	return !BuildDependencyGraph(s, false).HasExistentialCycle()
+	s.weakOnce.Do(func() { s.weakly = !BuildDependencyGraph(s, false).HasExistentialCycle() })
+	return s.weakly
 }
 
 // RichlyAcyclic reports whether the setting is richly acyclic
 // (Definition 7.3): no cycle of the extended dependency graph contains an
-// existential edge. Every richly acyclic setting is weakly acyclic.
+// existential edge. Every richly acyclic setting is weakly acyclic. Like
+// WeaklyAcyclic, it is computed once per Setting.
 func (s *Setting) RichlyAcyclic() bool {
-	return !BuildDependencyGraph(s, true).HasExistentialCycle()
+	s.richOnce.Do(func() { s.richly = !BuildDependencyGraph(s, true).HasExistentialCycle() })
+	return s.richly
 }

@@ -174,13 +174,20 @@ func (d *EGD) String() string {
 	return fmt.Sprintf("%s: %s -> %s = %s", d.Name, strings.Join(parts, " & "), d.L, d.R)
 }
 
-// Setting is a data exchange setting D = (σ, τ, Σst, Σt).
+// Setting is a data exchange setting D = (σ, τ, Σst, Σt). A Setting must
+// not change once it is in use: its acyclicity tests (acyclic.go) and its
+// dependencies' plans (plan.go) are computed once and memoised, which is
+// what lets one parsed Setting be shared by pointer across goroutines and
+// across every scenario built on it.
 type Setting struct {
 	Source instance.Schema // σ
 	Target instance.Schema // τ
 	ST     []*TGD          // Σst: source-to-target tgds
 	TGDs   []*TGD          // target tgds of Σt
 	EGDs   []*EGD          // egds of Σt
+
+	weakOnce, richOnce sync.Once
+	weakly, richly     bool
 }
 
 // AllTGDs returns Σst ∪ (tgds of Σt); the order is s-t tgds first.

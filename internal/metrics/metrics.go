@@ -100,6 +100,11 @@ var (
 	// ServerStreamAborts counts NDJSON streams cut short because the client
 	// went away (request context canceled) or a line failed to encode.
 	ServerStreamAborts = register("server_stream_aborts")
+	// ServerSettingParses counts setting texts dxserver parsed because its
+	// setting table did not hold them. A registration, page-in or handoff
+	// install under a setting some resident scenario already uses does not
+	// move it.
+	ServerSettingParses = register("server_setting_parses")
 
 	// IncrMutations counts source mutation batches applied by the
 	// incremental-maintenance engine (internal/incr).

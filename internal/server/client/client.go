@@ -293,8 +293,11 @@ func (c *Client) Enum(ctx context.Context, req api.EvalRequest, f func(api.EnumS
 	if err := checkStatus(resp); err != nil {
 		return summary, err
 	}
+	// The scanner starts from its small default buffer and grows it only
+	// for a longer line, up to the 16 MB cap; most enum responses are a few
+	// short lines.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(nil, 16*1024*1024)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {

@@ -267,7 +267,7 @@ func (s *Server) routingKey(w http.ResponseWriter, r *http.Request) (key string,
 			// Pin a content-derived name so the unnamed scenario routes
 			// content-addressed; the owner (and every later entry member)
 			// re-derives the same name from the same content.
-			_, _, _, contentID, err := canonicalContent(req.Setting, req.Source)
+			_, _, contentID, err := s.reg.canonicalContent(req.Setting, req.Source)
 			if err != nil {
 				writeError(w, err)
 				return "", nil, "", false

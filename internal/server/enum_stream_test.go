@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,6 +10,8 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/metrics"
+	"repro/internal/server/api"
+	"repro/internal/server/client"
 )
 
 // quickstart-style setting with three CWA-solutions, so the enum stream has
@@ -70,5 +73,40 @@ func TestEnumStreamAbortsOnClientDisconnect(t *testing.T) {
 	}
 	if strings.Contains(body, `"done"`) {
 		t.Fatalf("aborted stream still carries the summary line:\n%s", body)
+	}
+}
+
+// TestEnumClientDecodesLongLine: the client's NDJSON scanner starts from a
+// small buffer and grows it, so a solution line well past 64 KB still
+// decodes whole.
+func TestEnumClientDecodesLongLine(t *testing.T) {
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	var src strings.Builder
+	const facts = 2000
+	pad := strings.Repeat("x", 60)
+	for i := 0; i < facts; i++ {
+		fmt.Fprintf(&src, "S(c%s%d). ", pad, i)
+	}
+	if _, _, err := s.reg.register("long", tinySetting, src.String(), chase.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	var sols []api.EnumSolution
+	sum, err := client.New(ts.URL).Enum(context.Background(), api.EvalRequest{Scenario: "long", Max: 2}, func(sol api.EnumSolution) error {
+		sols = append(sols, sol)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("enum: %v", err)
+	}
+	if !sum.Done || sum.Count != 1 || len(sols) != 1 {
+		t.Fatalf("summary %+v with %d solutions, want one solution", sum, len(sols))
+	}
+	if n := len(sols[0].Solution); n <= 64<<10 {
+		t.Fatalf("solution text is %d bytes; the test needs a line over 64 KB", n)
+	}
+	if sols[0].Atoms != facts {
+		t.Fatalf("solution has %d atoms, want %d", sols[0].Atoms, facts)
 	}
 }

@@ -195,8 +195,8 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 func (s *Server) scenarioInfo(sc *scenario) api.ScenarioInfo {
 	info := api.ScenarioInfo{
 		ID:            sc.id,
-		WeaklyAcyclic: sc.weakly,
-		RichlyAcyclic: sc.richly,
+		WeaklyAcyclic: sc.setting().WeaklyAcyclic(),
+		RichlyAcyclic: sc.setting().RichlyAcyclic(),
 		SourceAtoms:   sc.engine.SourceSnapshot().Len(),
 		Version:       sc.version(),
 		Incremental:   sc.engine.Maintainable(),
@@ -468,9 +468,9 @@ func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
 	}
 	// The method depends only on the query, the setting and the semantics,
 	// so cached and revalidated answers report it too.
-	w.Header().Set(planHeader, certain.Choose(sc.setting, q, sem).String())
+	w.Header().Set(planHeader, certain.Choose(sc.setting(), q, sem).String())
 	s.cached(w, r, resultKey(sc, "certain", semName, req.Query), func() (any, error) {
-		ans, err := certain.AnswersOn(sc.setting, q, scenarioSolutions{sc, opt}, sem,
+		ans, err := certain.AnswersOn(sc.setting(), q, scenarioSolutions{sc, opt}, sem,
 			certain.Options{Chase: opt, Workers: workers})
 		if err != nil {
 			return nil, err
@@ -533,7 +533,7 @@ func (s *Server) handleEnum(w http.ResponseWriter, r *http.Request) {
 	var sols []*instance.Instance
 	var enumErr error
 	err := sc.engine.View(opt, func(u *instance.Instance) {
-		sols, enumErr = cwa.EnumerateOn(sc.setting, sc.engine.SourceSnapshot(), u, cwa.EnumOptions{
+		sols, enumErr = cwa.EnumerateOn(sc.setting(), sc.engine.SourceSnapshot(), u, cwa.EnumOptions{
 			MaxSolutions: maxSols,
 			ChaseOptions: opt,
 			Workers:      workers,

@@ -46,12 +46,14 @@ func (c *lru) get(key string) (any, bool) {
 }
 
 // put inserts or refreshes the key, evicting the least recently used entry
-// when over capacity.
-func (c *lru) put(key string, value any) {
+// when over capacity. It returns the value it replaced under key, if any;
+// a replaced value does not go to onEvict.
+func (c *lru) put(key string, value any) (replaced any) {
 	var evicted []*lruEntry
 	c.mu.Lock()
 	if el, ok := c.m[key]; ok {
-		el.Value.(*lruEntry).value = value
+		e := el.Value.(*lruEntry)
+		replaced, e.value = e.value, value
 		c.ll.MoveToFront(el)
 	} else {
 		c.m[key] = c.ll.PushFront(&lruEntry{key: key, value: value})
@@ -70,6 +72,7 @@ func (c *lru) put(key string, value any) {
 			c.onEvict(e.key, e.value)
 		}
 	}
+	return replaced
 }
 
 // remove deletes the key if present and hands it to onEvict. The removal was

@@ -493,13 +493,14 @@ func (s *Server) handleClusterTransfer(w http.ResponseWriter, r *http.Request) {
 		}
 		existing.mutMu.Unlock()
 	}
-	sc, err := scenarioFromState(st, chase.Options{})
+	sc, err := s.reg.scenarioFromState(st, chase.Options{})
 	if err != nil {
 		writeError(w, status.WithKind(err, status.Internal))
 		return
 	}
 	if s.reg.store != nil {
 		if err := s.reg.store.Register(st); err != nil {
+			s.reg.discard(sc)
 			writeError(w, status.WithKind(fmt.Errorf("journaling transfer: %w", err), status.Internal))
 			return
 		}

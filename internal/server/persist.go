@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/incr"
-	"repro/internal/parser"
 	"repro/internal/status"
 	"repro/internal/store"
 )
@@ -26,7 +25,7 @@ func (sc *scenario) persistState() *store.State {
 	st := &store.State{
 		ID:          sc.id,
 		ContentID:   sc.contentID,
-		SettingText: sc.settingText,
+		SettingText: sc.shared.text,
 		InitVersion: sc.initVersion,
 	}
 	st.Source, st.Fixpoint, st.Steps = sc.engine.PersistSnapshot()
@@ -37,24 +36,29 @@ func (sc *scenario) persistState() *store.State {
 // A persisted fixpoint is resumed by the incremental engine — no re-chase;
 // without one (the state had unfolded mutations, or the engine held no
 // fixpoint at capture) the engine is built like a fresh registration's,
-// chasing under opt when the setting is weakly acyclic. The engine takes
-// ownership of st's instances.
-func scenarioFromState(st *store.State, opt chase.Options) (*scenario, error) {
-	s, err := parser.ParseSetting(st.SettingText)
+// chasing under opt when the setting is weakly acyclic. The setting comes
+// from the setting table, so a state whose setting some resident scenario
+// uses is not parsed again. The engine takes ownership of st's instances.
+// The scenario holds a setting reference: the caller makes it resident or
+// discards it.
+func (r *registry) scenarioFromState(st *store.State, opt chase.Options) (*scenario, error) {
+	shared, err := r.settings.lookup(st.SettingText)
 	if err != nil {
 		return nil, fmt.Errorf("server: rehydrating %q: %w", st.ID, err)
 	}
+	shared = r.settings.acquire(shared, st.SettingText)
 	var eng *incr.Engine
 	if st.Fixpoint != nil {
-		eng, err = incr.Resume(s, st.Source, st.Fixpoint, st.Steps)
+		eng, err = incr.Resume(shared.setting, st.Source, st.Fixpoint, st.Steps)
 	} else {
 		// A chase cut short leaves the engine unchased, not broken.
-		eng, err = incr.New(s, st.Source, opt)
+		eng, err = incr.New(shared.setting, st.Source, opt)
 	}
 	if eng == nil {
+		r.settings.release(shared, st.SettingText)
 		return nil, fmt.Errorf("server: rehydrating %q: %w", st.ID, err)
 	}
-	return newScenario(st.ID, st.ContentID, st.SettingText, s, eng, st.InitVersion), nil
+	return newScenario(st.ID, st.ContentID, shared, st.SettingText, eng, st.InitVersion), nil
 }
 
 // load tracks one in-flight rehydration so concurrent lookups of the same
@@ -84,7 +88,7 @@ func (r *registry) rehydrate(id string) (*scenario, error) {
 
 	l.sc, l.err = r.loadScenario(id)
 	if l.err == nil {
-		r.scenarios.put(id, l.sc)
+		r.putScenario(l.sc)
 	}
 	r.mu.Lock()
 	delete(r.loads, id)
@@ -101,7 +105,7 @@ func (r *registry) loadScenario(id string) (*scenario, error) {
 		}
 		return nil, status.WithKind(fmt.Errorf("server: rehydrating %q: %w", id, err), status.Internal)
 	}
-	sc, err := scenarioFromState(st, chase.Options{})
+	sc, err := r.scenarioFromState(st, chase.Options{})
 	if err != nil {
 		return nil, status.WithKind(err, status.Internal)
 	}

@@ -26,11 +26,12 @@ import (
 // code "unknown_scenario".
 var errUnknownScenario = errors.New("server: unknown scenario")
 
-// scenario is one registered (setting, source) pair. The parsed *Setting is
-// the plan cache: every tgd/egd lazily compiles and memoizes its body,
-// head, slot and delta plans on first use (dependency/plan.go), so keeping
-// the Setting resident amortizes compilation across every request that
-// names the scenario. The scenario's incremental engine holds its source
+// scenario is one registered (setting, source) pair. Its setting is the
+// server's shared parse of the setting text (settings.go): one
+// *dependency.Setting per distinct setting, shared with every other
+// resident scenario built on it, so its memoised plans and acyclicity
+// answers are compiled once per server rather than once per scenario or
+// page-in. The scenario's incremental engine holds its source
 // and its one chase state; the core and the canonical solution, which the
 // engine does not hold, are memoized here under a per-scenario mutex: the
 // first request computes under its own deadline, later requests reuse the
@@ -49,11 +50,12 @@ type scenario struct {
 	// at registration. A named re-registration with byte-identical texts
 	// is a dedup hit without re-parsing — the hot path for cluster members
 	// that see the same registration storm through every entry node.
-	rawHash     [32]byte
-	settingText string // canonical form (parser.FormatSetting)
-	setting     *dependency.Setting
-	weakly      bool
-	richly      bool
+	rawHash [32]byte
+	// shared is the setting table's entry, on which the scenario holds one
+	// reference taken under sharedKey, the setting text it was built from.
+	// The registry's eviction hook releases it.
+	shared    *sharedSetting
+	sharedKey string
 	// engine owns the source and the chase result and keeps them current
 	// under source mutations. Weakly acyclic settings are chased eagerly;
 	// any other setting is chased by the first request that needs it,
@@ -81,19 +83,21 @@ type scenario struct {
 	cansol *instance.Instance
 }
 
-// newScenario builds a scenario around its engine.
-func newScenario(id, contentID, settingText string, s *dependency.Setting, eng *incr.Engine, initVersion uint64) *scenario {
+// newScenario builds a scenario around its engine, on a setting reference
+// taken with settingTable.acquire(shared, sharedKey).
+func newScenario(id, contentID string, shared *sharedSetting, sharedKey string, eng *incr.Engine, initVersion uint64) *scenario {
 	return &scenario{
 		id:          id,
 		contentID:   contentID,
-		settingText: settingText,
-		setting:     s,
-		weakly:      s.WeaklyAcyclic(),
-		richly:      s.RichlyAcyclic(),
+		shared:      shared,
+		sharedKey:   sharedKey,
 		engine:      eng,
 		initVersion: initVersion,
 	}
 }
+
+// setting returns the scenario's parsed setting.
+func (sc *scenario) setting() *dependency.Setting { return sc.shared.setting }
 
 // version returns the scenario's current source version (monotone: +1 per
 // source atom actually inserted or removed).
@@ -138,7 +142,7 @@ func (sc *scenario) cansolFor(opt chase.Options) (*instance.Instance, error) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if sc.cansol == nil {
-		can, err := cwa.CanSol(sc.setting, sc.engine.SourceSnapshot(), opt)
+		can, err := cwa.CanSol(sc.setting(), sc.engine.SourceSnapshot(), opt)
 		if err != nil {
 			return nil, err
 		}
@@ -182,6 +186,7 @@ func (p scenarioSolutions) CanSol() (*instance.Instance, error) { return p.sc.ca
 type registry struct {
 	scenarios *lru // scenario ID -> *scenario
 	results   *lru // contentID + endpoint + params -> []byte response body
+	settings  *settingTable
 
 	// store, when non-nil, makes the registry durable: registrations and
 	// mutations are journaled before acknowledgement, capacity evictions
@@ -207,6 +212,7 @@ func newRegistry(maxScenarios, maxResults int, st *store.Store) *registry {
 	r := &registry{
 		scenarios: newLRU(maxScenarios),
 		results:   newLRU(maxResults),
+		settings:  newSettingTable(),
 		store:     st,
 		byContent: make(map[string]string),
 		loads:     make(map[string]*load),
@@ -223,9 +229,11 @@ func newRegistry(maxScenarios, maxResults int, st *store.Store) *registry {
 	// answer for different content; they can never be served safely once the
 	// scenario is gone. Content-keyed results stay: they are pure functions
 	// of (content, version) and deliberately survive evictions so
-	// re-registered content keeps hitting them.
+	// re-registered content keeps hitting them. Either way the scenario
+	// leaves residency, so its setting reference is released.
 	r.scenarios.onEvict = func(id string, v any) {
 		sc := v.(*scenario)
+		r.discard(sc)
 		if r.store != nil && r.store.Has(id) {
 			r.store.PageOut(sc.persistState())
 			return
@@ -243,32 +251,50 @@ func newRegistry(maxScenarios, maxResults int, st *store.Store) *registry {
 	return r
 }
 
-// canonicalContent parses and validates a registration's setting and
-// source and derives the scenario's content identity: a hash of the
-// canonical setting text plus the source's content key. Registration and
-// the cluster routing layer (which pins content-derived names so placement
-// is content-addressed) must agree on it, so both call this.
-func canonicalContent(settingText, sourceText string) (s *dependency.Setting, src *instance.Instance, canonical, contentID string, err error) {
-	s, err = parser.ParseSetting(settingText)
+// canonicalContent resolves a registration's setting through the setting
+// table (parsing and validating it only when no resident scenario uses
+// that text), parses and validates its source, and derives the scenario's
+// content identity: a hash of the canonical setting text plus the source's
+// content key. Registration and the cluster routing layer (which pins
+// content-derived names so placement is content-addressed) must agree on
+// it, so both call this. It takes no setting reference.
+func (r *registry) canonicalContent(settingText, sourceText string) (shared *sharedSetting, src *instance.Instance, contentID string, err error) {
+	shared, err = r.settings.lookup(settingText)
 	if err != nil {
-		return nil, nil, "", "", status.WithKind(fmt.Errorf("parsing setting: %w", err), status.Usage)
+		return nil, nil, "", status.WithKind(fmt.Errorf("parsing setting: %w", err), status.Usage)
 	}
 	src, err = parser.ParseInstance(sourceText)
 	if err != nil {
-		return nil, nil, "", "", status.WithKind(fmt.Errorf("parsing source: %w", err), status.Usage)
+		return nil, nil, "", status.WithKind(fmt.Errorf("parsing source: %w", err), status.Usage)
 	}
 	if src.HasNulls() {
-		return nil, nil, "", "", status.WithKind(fmt.Errorf("source instance must be null-free"), status.Usage)
+		return nil, nil, "", status.WithKind(fmt.Errorf("source instance must be null-free"), status.Usage)
 	}
-	canonical = parser.FormatSetting(s)
-	sum := sha256.Sum256([]byte(canonical + "\x00" + src.ContentKey()))
-	return s, src, canonical, hex.EncodeToString(sum[:16]), nil
+	sum := sha256.Sum256([]byte(shared.text + "\x00" + src.ContentKey()))
+	return shared, src, hex.EncodeToString(sum[:16]), nil
 }
 
-// register parses and validates a setting and source, dedupes by content,
-// builds the scenario's engine (which chases weakly acyclic settings), and
-// stores the scenario. The returned bool reports whether an existing
-// content-identical scenario was reused.
+// putScenario makes sc resident. A scenario it replaces under the same ID
+// (two registrations racing on one name, an install over an older copy)
+// leaves without the eviction hook, so its setting reference is released
+// here.
+func (r *registry) putScenario(sc *scenario) {
+	if old := r.scenarios.put(sc.id, sc); old != nil && old != sc {
+		r.discard(old.(*scenario))
+	}
+}
+
+// discard releases the setting reference of a scenario that leaves
+// residency or never became resident.
+func (r *registry) discard(sc *scenario) {
+	r.settings.release(sc.shared, sc.sharedKey)
+}
+
+// register resolves a setting through the setting table, parses and
+// validates a source, dedupes by content, builds the scenario's engine
+// (which chases weakly acyclic settings), and stores the scenario. The
+// returned bool reports whether an existing content-identical scenario was
+// reused.
 func (r *registry) register(name, settingText, sourceText string, opt chase.Options) (*scenario, bool, error) {
 	rawHash := sha256.Sum256([]byte(settingText + "\x00" + sourceText))
 	if name != "" {
@@ -285,7 +311,7 @@ func (r *registry) register(name, settingText, sourceText string, opt chase.Opti
 		r.mu.Unlock()
 	}
 
-	s, src, canonical, contentID, err := canonicalContent(settingText, sourceText)
+	shared, src, contentID, err := r.canonicalContent(settingText, sourceText)
 	if err != nil {
 		return nil, false, err
 	}
@@ -345,8 +371,9 @@ func (r *registry) register(name, settingText, sourceText string, opt chase.Opti
 	// registration error: the scenario is kept and evaluation endpoints
 	// report no_solution per request. Nor is a budget or deadline expiry:
 	// the engine is left unchased and the first request chases again.
-	eng, _ := incr.New(s, src, opt)
-	sc := newScenario(name, contentID, canonical, s, eng, src.Version())
+	shared = r.settings.acquire(shared, settingText)
+	eng, _ := incr.New(shared.setting, src, opt)
+	sc := newScenario(name, contentID, shared, settingText, eng, src.Version())
 	sc.rawHash = rawHash
 
 	// Durability before acknowledgement: the registration record must be in
@@ -354,6 +381,7 @@ func (r *registry) register(name, settingText, sourceText string, opt chase.Opti
 	// sends the 2xx). A journaling failure refuses the registration.
 	if r.store != nil {
 		if err := r.store.Register(sc.persistState()); err != nil {
+			r.discard(sc)
 			return nil, false, status.WithKind(fmt.Errorf("journaling registration: %w", err), status.Internal)
 		}
 	}
@@ -361,7 +389,7 @@ func (r *registry) register(name, settingText, sourceText string, opt chase.Opti
 	r.mu.Lock()
 	r.byContent[contentID] = name
 	r.mu.Unlock()
-	r.scenarios.put(name, sc)
+	r.putScenario(sc)
 	return sc, false, nil
 }
 
@@ -469,7 +497,7 @@ func (r *registry) install(sc *scenario) {
 		r.nextID = n
 	}
 	r.mu.Unlock()
-	r.scenarios.put(sc.id, sc)
+	r.putScenario(sc)
 }
 
 // mutate applies a mutation batch to the scenario: version precondition,

@@ -8,11 +8,17 @@ package cwa
 // carries the witness pool instead of sorting a domain per branch, re-adds
 // after a rollback into the kept capacity, refutes witness tuples from
 // scratch buffers and builds a canonical instance only for a class
-// representative. The walk takes about 1,500 allocations here; it took
-// about 1,560 while each delta round allocated its chase delta scratch up
-// front, about 2,500 before those four, and one that cloned every child
-// state took 3,513. The budget sits below 1,560, so the up-front delta
-// scratch would fail it.
+// representative. Each state extends its parent's homomorphism into the
+// universal solution over its own new atoms, appends its matches to the
+// parent's list in place and adds its justification keys to the walk's one
+// key set. The walk takes about 970 allocations here. It took about 1,500
+// while each state extended a copy of its parent's compiled hom search
+// (hom.Search.Extend, which copied the parent's slot map and occurrence
+// lists), keyed a universality memo by the state's content, copied the
+// match list on its first append and rebuilt the key set from every
+// inherited match; about 2,500 before the pool and rollback work above, and
+// one that cloned every child state took 3,513. The budget sits just above
+// 970, so bringing back any one of those per-state copies fails it.
 //
 // Excluded under -race: the race runtime instruments allocations and makes
 // AllocsPerRun meaningless there.
@@ -43,7 +49,7 @@ func TestEnumerateOnAllocBudget(t *testing.T) {
 	if sols != 3 {
 		t.Fatalf("%d solutions, want 3", sols)
 	}
-	const budget = 1540
+	const budget = 1000
 	if avg := testing.AllocsPerRun(20, run); avg > budget {
 		t.Errorf("EnumerateOn allocates %.0f objects/run on padded Example 2.1 (pad 8); budget is %d", avg, budget)
 	}

@@ -2,6 +2,8 @@ package cwa
 
 import (
 	"errors"
+	"maps"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -124,8 +126,10 @@ func Enumerate(s *dependency.Setting, src *instance.Instance, opt EnumOptions) (
 // whose head atoms still cannot embed (an absent ground atom, a null with
 // no common image) are refuted before their child state is built. States
 // violating an egd are pruned (a successful chase never applies an egd,
-// Lemma 4.5). Complete states are filtered by universality (Theorem 4.8)
-// and deduplicated up to isomorphism.
+// Lemma 4.5). Every state must be universal (Theorem 4.8): each carries a
+// homomorphism into u, which a child extends over the atoms it added with
+// the parent's values fixed, and decides from scratch only when that
+// extension fails. Complete states are deduplicated up to isomorphism.
 //
 // Branches are expanded by up to opt.Workers goroutines. Solutions are
 // reported in canonical null form, with the lexicographically least member
@@ -149,7 +153,6 @@ func newEnumerator(s *dependency.Setting, src, u *instance.Instance, opt EnumOpt
 		s:         s,
 		universal: u,
 		opt:       opt,
-		univCache: newUnivMemo(univCacheCap),
 		sem:       make(chan struct{}, opt.workers()-1),
 	}
 	// s-t tgd bodies are evaluated on the σ-reduct, which never changes
@@ -198,7 +201,7 @@ func (e *enumerator) run() ([]*instance.Instance, error) {
 	// the σ atoms would only be dead weight in the walked instance, its
 	// clones and its content keys. The source active domain still supplies
 	// witness constants, through the pools.
-	e.walk(instance.New(), map[string][]instance.Value{}, 0, nil, nil, nil, nil)
+	e.walk(&walker{cur: instance.New(), alpha: map[string][]instance.Value{}, keys: map[string]struct{}{}}, 0, nil, nil, nil)
 	e.wg.Wait()
 
 	sort.Slice(e.found, func(i, j int) bool { return e.found[i].key < e.found[j].key })
@@ -241,8 +244,9 @@ type stMatch struct {
 // openMatch is one body match at a state's closure fixpoint: the potential
 // justification (d, ū, v̄) identified by key, with the match kept as a slot
 // environment (conjunctive bodies) or a Binding (FO s-t bodies). Fixpoint
-// match lists are inherited by child states read-only: a child's instance is
-// its parent's plus one new firing, so only the delta rounds differ.
+// match lists are inherited by child states: a child's instance is its
+// parent's plus one new firing, so only the delta rounds differ, and the
+// child appends their matches past the parent's entries (see walk).
 type openMatch struct {
 	d    *dependency.TGD
 	senv []instance.Value // body match, BodyPlan slot order (nil for FO s-t)
@@ -266,15 +270,11 @@ type enumerator struct {
 	// poolHook, when set, is called with every branch's witness pool. Tests
 	// use it to crosscheck the pool against its definition.
 	poolHook func(d *dependency.TGD, cur *instance.Instance, pool [][]instance.Value)
-
-	// univCache memoizes the universality prune by target-reduct content:
-	// whether a hom into the universal solution exists is a pure function of
-	// the reduct's atom set, and sibling branches frequently reach identical
-	// reducts. The key is a snapshot of the content (instance.ContentKey),
-	// so rolling the walked instance back later leaves it valid.
-	// LRU-bounded at univCacheCap so adversarial settings cannot
-	// grow it without limit; an eviction only costs a recomputation.
-	univCache *univMemo
+	// univHook, when set, is called at every state that reaches the
+	// universality check, with the verdict and, when it holds, the witness
+	// h (indexed by null label). Tests use it to crosscheck the carried
+	// witness against hom.Exists.
+	univHook func(cur *instance.Instance, h []instance.Value, univ bool)
 
 	sem chan struct{} // bounds extra walker goroutines (cap workers-1)
 	wg  sync.WaitGroup
@@ -302,36 +302,58 @@ func (e *enumerator) stopped() bool {
 	return e.truncated.Load() || e.canceled.Load()
 }
 
+// walker is the mutable state one goroutine walks in place: the current
+// state's target instance, its partial α and the justification keys of its
+// fixpoint match list, plus scratch for the universality check. An inline
+// child extends the walker and undoes its extension on return; a spawned
+// child walks a copy of its own (see descend).
+type walker struct {
+	cur   *instance.Instance
+	alpha map[string][]instance.Value
+	// keys holds the justification key of every match in the walked state's
+	// fixpoint list: a state adds the keys its delta rounds discover and
+	// deletes them on return, so no state rebuilds the set.
+	keys map[string]struct{}
+	// delta and args are universality's scratch, free again before the
+	// state's first child runs: the atoms the state added that mention a
+	// null, and their arguments.
+	delta []instance.Atom
+	args  []instance.Value
+}
+
 // descend explores the child state that resolves the justification key
 // with witness w. A free worker slot takes the child on a goroutine of its
-// own, with its own copies of cur, alpha and fireAtoms. Otherwise the child
-// is walked in place on cur and alpha and undone on return: the key is
-// deleted and cur rolled back to its mark, so the caller's state is as
-// before the call. fireAtoms may be the caller's scratch buffer: the inline
-// child adds them to cur on entry, before the caller can reuse it.
-// inherited, base and pending are shared read-only (see walk).
-func (e *enumerator) descend(cur *instance.Instance, alpha map[string][]instance.Value, key string, w []instance.Value, nextNull int64, inherited []openMatch, fireAtoms []instance.Atom, base *hom.Search, pending []instance.Atom) {
+// own, with a copy of the walker and its own copies of inherited, h and
+// fireAtoms. Otherwise the child is walked in place on wk and undone on
+// return: the key is deleted from alpha and cur rolled back to its mark
+// (walk deletes the justification keys it added), so the caller's state is
+// as before the call. In place, the child appends to inherited and h past
+// their lengths, which the caller never reads, and siblings run one after
+// another. fireAtoms may be the caller's scratch buffer: the inline child
+// adds them to cur on entry, before the caller can reuse it.
+func (e *enumerator) descend(wk *walker, key string, w []instance.Value, nextNull int64, inherited []openMatch, fireAtoms []instance.Atom, h []instance.Value) {
 	select {
 	case e.sem <- struct{}{}:
-		child := cur.Clone()
-		alpha2 := make(map[string][]instance.Value, len(alpha)+1)
-		for k, v := range alpha {
-			alpha2[k] = v
-		}
-		alpha2[key] = w
+		child := &walker{cur: wk.cur.Clone(), alpha: maps.Clone(wk.alpha), keys: maps.Clone(wk.keys)}
+		child.alpha[key] = w
+		// Copies, not capacity-trimmed views: once the caller returns, its
+		// own parent's next inline child overwrites the entries the caller
+		// appended, which a view would share with the spawned walk.
+		inherited = append([]openMatch(nil), inherited...)
+		h = append([]instance.Value(nil), h...)
 		atoms := ownAtoms(fireAtoms)
 		e.wg.Add(1)
 		metrics.GoroutinesSpawned.Inc()
 		go func() {
 			defer func() { <-e.sem; e.wg.Done() }()
-			e.walk(child, alpha2, nextNull, inherited, atoms, base, pending)
+			e.walk(child, nextNull, inherited, atoms, h)
 		}()
 	default:
-		m := cur.Mark()
-		alpha[key] = w
-		e.walk(cur, alpha, nextNull, inherited, fireAtoms, base, pending)
-		delete(alpha, key)
-		cur.Rollback(m)
+		m := wk.cur.Mark()
+		wk.alpha[key] = w
+		e.walk(wk, nextNull, inherited, fireAtoms, h)
+		delete(wk.alpha, key)
+		wk.cur.Rollback(m)
 	}
 }
 
@@ -404,7 +426,8 @@ func headAtomsFO(d *dependency.TGD, env query.Binding, w []instance.Value) []ins
 // the isomorphism checks read the walked instance t directly (both are
 // invariant under renaming nulls); the canonical instance is built only for
 // a state that becomes a class's representative.
-func (e *enumerator) emit(t *instance.Instance, ck string) {
+func (e *enumerator) emit(t *instance.Instance) {
+	ck := t.ContentKey()
 	e.mu.Lock()
 	if _, dup := e.seen[ck]; dup {
 		e.mu.Unlock()
@@ -432,38 +455,188 @@ func (e *enumerator) emit(t *instance.Instance, ck string) {
 	}
 }
 
-// universality decides whether cur maps homomorphically into the universal
-// solution, incrementally: the parent state's compiled search (base) is
-// extended by the atoms added since it was compiled (pending, accumulated
-// across memoized ancestors, plus this state's own additions since mBase)
-// instead of recompiling cur from scratch; only the root state (base nil)
-// compiles from scratch. The extended search runs in ExistsAC decision mode:
-// the posting-list arc-consistency pass over the compiled occurrence lists
-// refutes or confirms most states outright, and only genuinely ambiguous
-// ones pay for backtracking. The materialized search is returned for the
-// state's children to extend in turn.
-func (e *enumerator) universality(cur *instance.Instance, base *hom.Search, pending []instance.Atom, mBase instance.Mark) (bool, *hom.Search) {
-	var s *hom.Search
-	if base == nil {
-		s = hom.CompileSource(cur)
-	} else {
-		s = base.Extend(appendDelta(pending, cur, mBase))
-	}
-	return s.ExistsAC(e.universal), s
-}
+// unmapped marks a null that a witness h does not map yet. It is no value
+// of the universal solution: as a null it would carry the largest label.
+const unmapped = instance.Value(math.MinInt64)
 
-// appendDelta returns pending plus the atoms cur gained since the mark, with
-// owned Args copies (EachAddedBetween hands out a shared scratch buffer).
-// pending itself is never written: hand-off capacity-trimming makes the
-// append reallocate, so sibling states sharing one pending list stay
-// independent.
-func appendDelta(pending []instance.Atom, cur *instance.Instance, since instance.Mark) []instance.Atom {
-	out := pending
-	cur.EachAddedBetween(since, cur.Mark(), func(a instance.Atom) bool {
-		out = append(out, instance.Atom{Rel: a.Rel, Args: append([]instance.Value(nil), a.Args...)})
+// universality decides whether cur maps homomorphically into the universal
+// solution u and returns the witness: a homomorphism indexed by null label
+// (cur's nulls are exactly _0 … _(nextNull−1)). h is the parent state's
+// witness and mBase the mark at which cur held exactly the parent's atoms
+// (at the root, h is empty and cur was empty at mBase). The parent's values
+// stay fixed: a ground atom added since mBase need only be in u, and the
+// others are matched against u's posting lists, binding only the new nulls
+// (extend). An absent ground atom refutes outright: every homomorphism
+// fixes it. Only when the extension fails is the state decided from
+// scratch, on its atoms that mention a null (its ground atoms are all
+// checked, here or at an ancestor): posting-list arc consistency
+// (hom.PrecheckRefute) first, then a compiled search, whose hit becomes the
+// witness in a fresh slice. So h is never written below its length, and an
+// inline child extends its parent's slice in place.
+func (e *enumerator) universality(wk *walker, h []instance.Value, mBase instance.Mark, nextNull int64) ([]instance.Value, bool) {
+	cur, u := wk.cur, e.universal
+	wk.delta, wk.args = wk.delta[:0], wk.args[:0]
+	absent := false
+	cur.EachAddedBetween(mBase, cur.Mark(), func(a instance.Atom) bool {
+		if !hasNull(a.Args) {
+			absent = !u.Has(a)
+			return !absent
+		}
+		start := len(wk.args)
+		wk.args = append(wk.args, a.Args...)
+		wk.delta = append(wk.delta, instance.Atom{Rel: a.Rel, Args: wk.args[start:len(wk.args):len(wk.args)]})
 		return true
 	})
-	return out
+	if absent {
+		return nil, false
+	}
+	for int64(len(h)) < nextNull {
+		h = append(h, unmapped)
+	}
+	if extend(u, wk.delta, h) {
+		return h, true
+	}
+	metrics.EnumUnivFallbacks.Inc()
+	atoms := cur.AtomsShared()
+	open := atoms[:0]
+	for _, a := range atoms {
+		if hasNull(a.Args) {
+			open = append(open, a)
+		}
+	}
+	if hom.PrecheckRefute(open, u) {
+		return nil, false
+	}
+	m, ok := hom.CompileAtoms(open).Find(u)
+	if !ok {
+		return nil, false
+	}
+	h = make([]instance.Value, nextNull)
+	for l := range h {
+		h[l] = m[instance.Null(int64(l))]
+	}
+	return h, true
+}
+
+// hasNull reports whether some value of args is a null.
+func hasNull(args []instance.Value) bool {
+	for _, v := range args {
+		if v.IsNull() {
+			return true
+		}
+	}
+	return false
+}
+
+// extend binds the unmapped nulls of atoms in h, keeping the mapped ones
+// fixed, so that every atom's image lies in u, and reports whether it
+// could. Each level takes the atom with the fewest unmapped nulls and draws
+// its candidate tuples from u's shortest posting list at a mapped position
+// (all of u's rows when none is mapped). atoms is reordered; on failure h
+// is as on entry.
+func extend(u *instance.Instance, atoms []instance.Atom, h []instance.Value) bool {
+	if len(atoms) == 0 {
+		return true
+	}
+	best, bestFree := 0, math.MaxInt
+	for j, a := range atoms {
+		free := 0
+		for _, v := range a.Args {
+			if v.IsNull() && h[v.NullLabel()] == unmapped {
+				free++
+			}
+		}
+		if free < bestFree {
+			best, bestFree = j, free
+		}
+	}
+	atoms[0], atoms[best] = atoms[best], atoms[0]
+	a, rest := atoms[0], atoms[1:]
+	var buf [8]instance.Value
+	img := buf[:0]
+	for _, v := range a.Args {
+		if v.IsNull() {
+			v = h[v.NullLabel()]
+		}
+		img = append(img, v)
+	}
+	if bestFree == 0 {
+		return u.Has(instance.Atom{Rel: a.Rel, Args: img}) && extend(u, rest, h)
+	}
+	rel, ok := u.Relation(a.Rel, len(a.Args))
+	if !ok {
+		return false
+	}
+	var rows []int32
+	scan := true
+	for p, v := range img {
+		if v == unmapped {
+			continue
+		}
+		if l := rel.Postings(p, v); scan || len(l) < len(rows) {
+			rows, scan = l, false
+		}
+	}
+	n := int32(len(rows))
+	if scan {
+		n = rel.Rows()
+	}
+	cols := rel.Cols()
+	for i := int32(0); i < n; i++ {
+		row := i
+		if !scan {
+			row = rows[i]
+		} else if rel.HasDead() && !rel.Alive(row) {
+			continue
+		}
+		if bindRow(a, img, cols, row, h) {
+			if extend(u, rest, h) {
+				return true
+			}
+			unbind(a, img, h)
+		}
+	}
+	return false
+}
+
+// bindRow binds the nulls of a that img leaves unmapped to the values of
+// u's row (cols[pos][row]). It reports false, binding nothing, when the row
+// disagrees with img or would bind one null to two values.
+func bindRow(a instance.Atom, img []instance.Value, cols [][]instance.Value, row int32, h []instance.Value) bool {
+	for p, v := range img {
+		if v != unmapped && cols[p][row] != v {
+			return false
+		}
+	}
+	for p, v := range img {
+		if v != unmapped {
+			continue
+		}
+		l, w := a.Args[p].NullLabel(), cols[p][row]
+		if h[l] == unmapped {
+			h[l] = w
+		} else if h[l] != w {
+			unbind(a, img, h)
+			return false
+		}
+	}
+	return true
+}
+
+// unbind resets the nulls of a that img leaves unmapped.
+func unbind(a instance.Atom, img, h []instance.Value) {
+	for p, v := range img {
+		if v == unmapped {
+			h[a.Args[p].NullLabel()] = unmapped
+		}
+	}
+}
+
+// forget deletes the keys of ms from keys: a state's closure added them.
+func forget(keys map[string]struct{}, ms []openMatch) {
+	for i := range ms {
+		delete(keys, ms[i].key)
+	}
 }
 
 // nfound returns the current number of isomorphism classes found.
@@ -473,14 +646,15 @@ func (e *enumerator) nfound() int {
 	return len(e.found)
 }
 
-// walk explores the state (cur, alpha), where cur is the state's target
-// instance (the σ part of every state is the never-changing source, kept out
-// of the walked instance; all dependencies fired here are over τ): fire
-// chosen justifications to closure, prune on egd violations, then branch on
-// the first unresolved justification. nextNull is the next fresh null label
-// for canonical naming. cur and alpha are owned by this call until it
-// returns; it leaves them extended by whatever the state fired, for the
-// caller to roll back (see descend).
+// walk explores the state whose target instance is wk.cur and whose partial
+// α is wk.alpha (the σ part of every state is the never-changing source,
+// kept out of the walked instance; all dependencies fired here are over τ):
+// fire chosen justifications to closure, prune on egd violations and on
+// universality, then branch on the first unresolved justification. nextNull
+// is the next fresh null label for canonical naming. wk is owned by this
+// call until it returns; it leaves cur and alpha extended by whatever the
+// state fired, for the caller to roll back (see descend), and wk.keys as it
+// found them.
 //
 // inherited, when non-nil, is the parent state's fixpoint match list and
 // fireAtoms the head atoms of the single newly resolved justification
@@ -488,18 +662,14 @@ func (e *enumerator) nfound() int {
 // the pre-spawn refute): cur already contains every atom the parent fired,
 // so instead of re-enumerating all tgd bodies from scratch the walk adds
 // just the new firing's atoms and lets the semi-naive delta rounds discover
-// the consequences. The inherited entries (and their environments) are
-// shared read-only across sibling branches and goroutines; appends stay
-// private because the slice is capacity-trimmed at hand-off. A nil inherited
-// (the root state) builds the list with a full enumeration.
+// the consequences. Their matches are appended to inherited in place, past
+// the parent's length. A nil inherited (the root state) builds the list
+// with a full enumeration.
 //
-// base and pending thread the incremental universality check: base is the
-// compiled hom search of the nearest ancestor state that materialized one,
-// pending the atoms added between that compile and this state's entry
-// (states whose check was memoized or decided by the prefilter never
-// compile, so their deltas accumulate). Both are shared read-only across
-// siblings, pending under the same capacity-trim discipline as inherited.
-func (e *enumerator) walk(cur *instance.Instance, alpha map[string][]instance.Value, nextNull int64, inherited []openMatch, fireAtoms []instance.Atom, base *hom.Search, pending []instance.Atom) {
+// h is the parent state's homomorphism into the universal solution, indexed
+// by null label (nil at the root), which the state extends in place past
+// the parent's length too (see universality).
+func (e *enumerator) walk(wk *walker, nextNull int64, inherited []openMatch, fireAtoms []instance.Atom, h []instance.Value) {
 	if err := chase.ContextErr(e.opt.ChaseOptions.Ctx); err != nil {
 		e.canceled.Store(true)
 		return
@@ -519,6 +689,7 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string][]instance.Va
 		e.truncated.Store(true)
 		return
 	}
+	cur, alpha := wk.cur, wk.alpha
 
 	// Close under already-chosen justifications, semi-naively. An inherited
 	// state starts from its parent's fixpoint: cur already holds every
@@ -530,14 +701,14 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string][]instance.Va
 	// new atom); the delta is a watermark interval over cur's insertion log —
 	// no copied atom sets; cur only grows during the closure, so marks stay
 	// valid throughout. The accumulated match list — deduplicated by
-	// justification key — is exactly the matches at the fixpoint, reused by
-	// the first-unresolved scan below. s-t tgds use their precomputed
-	// (constant) matches and can only fire in the first round; target tgds
-	// (always conjunctive) stay on the slot path.
+	// justification key against wk.keys — is exactly the matches at the
+	// fixpoint, reused by the first-unresolved scan below. s-t tgds use their
+	// precomputed (constant) matches and can only fire in the first round;
+	// target tgds (always conjunctive) stay on the slot path.
 	var matches []openMatch
 	mStart := cur.Mark()
-	// The entry watermark: everything added from here to the fixpoint
-	// is this state's delta over the atoms base already has compiled.
+	// The entry watermark: everything added from here to the fixpoint is
+	// this state's delta over its parent, which h already maps.
 	mBase := mStart
 	if inherited != nil {
 		matches = inherited
@@ -565,42 +736,38 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string][]instance.Va
 				}
 			}
 		}
+		for i := range matches {
+			wk.keys[matches[i].key] = struct{}{}
+		}
 	}
-	var seenKeys map[string]bool
 	for {
 		mEnd := cur.Mark()
 		if mEnd == mStart {
 			break // previous round added nothing: fixpoint
 		}
-		if seenKeys == nil {
-			seenKeys = make(map[string]bool, len(matches))
-			for i := range matches {
-				seenKeys[matches[i].key] = true
-			}
-		}
-		var fresh []openMatch
+		start := len(matches)
 		for _, d := range e.allTGDs {
 			if _, ok := e.stMatches[d]; ok {
 				continue
 			}
 			chase.DeltaBodyEnvsKeyedBetween(d, cur, mStart, mEnd, func(env []instance.Value, key string) bool {
-				if seenKeys[key] {
+				if _, seen := wk.keys[key]; seen {
 					return true
 				}
-				seenKeys[key] = true
+				wk.keys[key] = struct{}{}
 				senv := append([]instance.Value(nil), env...)
-				fresh = append(fresh, openMatch{d: d, senv: senv, key: key})
+				matches = append(matches, openMatch{d: d, senv: senv, key: key})
 				return true
 			})
 		}
 		mStart = mEnd
-		for _, m := range fresh {
-			matches = append(matches, m)
+		for _, m := range matches[start:] {
 			if w, chosen := witness(alpha, m.d, m.key); chosen {
 				fire(cur, m.d, m.senv, nil, w)
 			}
 		}
 	}
+	defer forget(wk.keys, matches[len(inherited):])
 
 	// Prune: a successful α-chase never violates an egd along the way
 	// (adding atoms cannot repair a violation, and applying the egd would
@@ -615,28 +782,15 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string][]instance.Va
 	// Prune: universality is antitone in the atom set — if the current
 	// target instance already has no homomorphism into the universal
 	// solution, no superset can have one (restrict the hom), so the whole
-	// subtree contains no CWA-solution (Theorem 4.8). The check is memoized
-	// by content (sibling branches frequently reach the same instance); on a
-	// miss it runs incrementally off the ancestor's compiled search — see
-	// universality.
-	ck := cur.ContentKey()
-	univ, cached := e.univCache.get(ck)
-	var search *hom.Search
-	if !cached {
-		univ, search = e.universality(cur, base, pending, mBase)
-		e.univCache.put(ck, univ)
+	// subtree contains no CWA-solution (Theorem 4.8). The parent's witness
+	// is extended over this state's delta — see universality.
+	h, univ := e.universality(wk, h, mBase, nextNull)
+	if e.univHook != nil {
+		e.univHook(cur, h, univ)
 	}
 	if !univ {
 		e.prunedUniv.Add(1)
 		return
-	}
-	// Hand the children the freshest compiled search: the one materialized
-	// here (its delta is spent), or the ancestor's plus this state's delta.
-	if search != nil {
-		base, pending = search, nil
-	} else {
-		pending = appendDelta(pending, cur, mBase)
-		pending = pending[:len(pending):len(pending)]
 	}
 
 	// Find the first unresolved justification, deterministically, among the
@@ -655,7 +809,7 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string][]instance.Va
 	if first == nil {
 		// Complete: every justification resolved and fired; cur is the
 		// target of a successful α-chase. Universality already held above.
-		e.emit(cur, ck)
+		e.emit(cur)
 		return
 	}
 
@@ -665,12 +819,10 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string][]instance.Va
 	// admits at the variable's head positions) or a fresh null; fresh nulls
 	// are introduced in canonical order to cut symmetry. Each complete
 	// witness explores its subtree on a free worker if available, in place
-	// on cur otherwise (descend). Children inherit this state's fixpoint
-	// match list (capacity-trimmed so sibling appends never share a backing
-	// slot) and fire only the justification resolved here. The pool is
-	// computed before the first child runs; an in-place child restores cur
-	// on return.
-	handoff := matches[:len(matches):len(matches)]
+	// on the walker otherwise (descend). Children inherit this state's
+	// fixpoint match list and witness and fire only the justification
+	// resolved here. The pool is computed before the first child runs; an
+	// in-place child restores the walker on return.
 	d := first.d
 	k := len(d.Exists)
 	pool := e.pool(d, cur, nextNull)
@@ -717,7 +869,7 @@ func (e *enumerator) walk(cur *instance.Instance, alpha map[string][]instance.Va
 				return
 			}
 			w := append([]instance.Value(nil), assign...)
-			e.descend(cur, alpha, first.key, w, nextNull+freshUsed, handoff, atoms, base, pending)
+			e.descend(wk, first.key, w, nextNull+freshUsed, matches, atoms, h)
 			return
 		}
 		for _, v := range pool[i] {
@@ -889,6 +1041,14 @@ func SortBySize(sols []*instance.Instance) {
 		by.lens[i], by.strs[i] = t.Len(), t.String()
 	}
 	sort.Sort(by)
+}
+
+// SortEnumeratedBySize is SortBySize for solutions in the order Enumerate
+// and EnumerateOn return them: sorted by their canonical keys, each equal
+// to the solution's String(). A stable sort by atom count alone then yields
+// SortBySize's order without rendering any solution.
+func SortEnumeratedBySize(sols []*instance.Instance) {
+	sort.SliceStable(sols, func(i, j int) bool { return sols[i].Len() < sols[j].Len() })
 }
 
 // bySize sorts instances together with their sizes and renderings.

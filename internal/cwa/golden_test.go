@@ -119,3 +119,22 @@ func TestEnumerateGolden(t *testing.T) {
 		t.Fatalf("workers=%d: %d lines, %s has %d", workers, len(gl), goldenPath, len(wl))
 	}
 }
+
+// On every golden case, the stable size sort of Enumerate's output (which
+// /v1/enum streams) orders the solutions exactly as SortBySize does.
+func TestSortEnumeratedBySizeMatchesSortBySize(t *testing.T) {
+	for _, c := range goldenCases(t) {
+		sols, err := Enumerate(c.s, c.src, EnumOptions{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want := append([]*instance.Instance(nil), sols...)
+		SortBySize(want)
+		SortEnumeratedBySize(sols)
+		for i := range sols {
+			if sols[i] != want[i] {
+				t.Fatalf("%s: position %d holds %v, SortBySize puts %v there", c.name, i, sols[i], want[i])
+			}
+		}
+	}
+}

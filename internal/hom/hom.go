@@ -133,14 +133,6 @@ func FindOnto(from, to *instance.Instance, maxHoms int) (Mapping, bool) {
 // greedy order: repeatedly pick the atom with the fewest unseen nulls.
 // The input slice is left unmodified.
 func orderAtoms(atoms []instance.Atom) []instance.Atom {
-	return orderAtomsSeen(atoms, nil)
-}
-
-// orderAtomsSeen is orderAtoms with the nulls keyed by preBound counting as
-// seen from the start: Search.Extend orders delta atoms with the parent's
-// slots pre-bound, since every parent slot is bound before any delta atom
-// runs.
-func orderAtomsSeen(atoms []instance.Atom, preBound map[instance.Value]int) []instance.Atom {
 	// Greedy fewest-unseen-nulls-first, first minimum wins. Scores are
 	// maintained incrementally (decremented at every occurrence of a null the
 	// moment it becomes seen), which picks the exact same sequence as
@@ -152,9 +144,6 @@ func orderAtomsSeen(atoms []instance.Atom, preBound map[instance.Value]int) []in
 	for i, a := range atoms {
 		for _, v := range a.Args {
 			if v.IsNull() {
-				if _, pre := preBound[v]; pre {
-					continue
-				}
 				score[i]++ // per occurrence, as the rescan counted
 				occs[v] = append(occs[v], i)
 			}

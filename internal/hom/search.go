@@ -163,32 +163,11 @@ func (s *Search) Exists(to *instance.Instance, opts ...Option) bool {
 	return ok
 }
 
-// ExistsAC decides homomorphism existence into to like Exists (with no
-// options), but runs the arc-consistency pass in decision mode over the
-// compiled occurrence lists first: an empty candidate domain refutes
-// outright, and when every slot's domain is a singleton the forced
-// assignment is the only candidate homomorphism, so verifying its image
-// atoms decides the question either way — no backtracking at all. Only when
-// some domain keeps two or more survivors does the backtracking search run
-// (with its own arc-consistency pass skipped; the decision pass subsumes
-// it). Decisive outcomes are counted in metrics.HomACRefutes/HomACConfirms.
-func (s *Search) ExistsAC(to *instance.Instance) bool {
-	metrics.HomExists.Inc()
-	st := s.state()
-	defer s.release(st)
-	switch s.acDecide(to, st) {
-	case acRefuted:
-		return false
-	case acConfirmed:
-		return true
-	}
-	return s.search(to, st, 0)
-}
-
-// FindAvoidingAC is Find(to, Avoiding(avoid)) with the decision-mode
-// arc-consistency pass of ExistsAC: probes whose per-slot candidate domains
-// (excluding avoid) empty out are refuted without backtracking, and probes
-// where every domain is a singleton return the forced mapping immediately —
+// FindAvoidingAC is Find(to, Avoiding(avoid)) with a decision-mode
+// arc-consistency pass (acDecide) first: probes whose per-slot candidate
+// domains (excluding avoid) empty out are refuted without backtracking, and
+// probes where every domain is a singleton return the forced mapping
+// immediately, since verifying its image atoms decides the question —
 // the common cases of score.Core's per-null droppability probes, which call
 // this once per null against the same compiled block.
 func (s *Search) FindAvoidingAC(to *instance.Instance, avoid instance.Value) (Mapping, bool) {
@@ -223,8 +202,8 @@ const (
 	acConfirmed
 )
 
-// acDecide runs the decision-mode arc-consistency pass for ExistsAC and
-// FindAvoidingAC, recording singleton domains into st.env (on acConfirmed,
+// acDecide runs the decision-mode arc-consistency pass for FindAvoidingAC,
+// recording singleton domains into st.env (on acConfirmed,
 // st.env holds the complete forced assignment). Stale env entries are
 // harmless on acUnknown: the subsequent search rebinds every slot at its
 // binding atom before any fill reads it.

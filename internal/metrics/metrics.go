@@ -46,22 +46,17 @@ var (
 	// Only these deterministic empty-domain events are counted.
 	HomPrunes = register("hom_prunes")
 	// HomCompiles counts from-scratch source compilations
-	// (hom.CompileSource/CompileAtoms) — the cost the incremental
-	// Search.Extend path avoids. Together with HomExists it makes the
-	// compile-vs-search split of the universality check visible without a
+	// (hom.CompileSource/CompileAtoms). Together with HomExists it makes the
+	// compile-vs-search split of homomorphism questions visible without a
 	// profiler.
 	HomCompiles = register("hom_compiles")
-	// HomExtends counts incremental search extensions (hom.Search.Extend):
-	// child searches built by appending compiled delta atoms to a parent
-	// instead of recompiling the whole source.
-	HomExtends = register("hom_extends")
 	// HomExists counts homomorphism-existence queries (hom.Exists and
-	// Search.Exists), the universality checks of cwa.Enumerate among them.
+	// Search.Exists).
 	HomExists = register("hom_exists")
 	// HomACRefutes counts existence checks refuted by posting-list arc
 	// consistency without backtracking (hom.PrecheckRefute, or the decision
-	// pass of Search.ExistsAC and FindAvoidingAC): some atom or null of the
-	// source provably cannot embed into the target.
+	// pass of Search.FindAvoidingAC): some atom or null of the source
+	// provably cannot embed into the target.
 	HomACRefutes = register("hom_ac_refutes")
 	// HomACConfirms counts existence checks confirmed by the prefilter
 	// without search: unit propagation left every null a single candidate
@@ -75,6 +70,11 @@ var (
 	RepVisited = register("rep_visited")
 	// EnumStates counts search states explored by cwa.Enumerate.
 	EnumStates = register("enum_states")
+	// EnumUnivFallbacks counts the universality checks of cwa.Enumerate
+	// decided from scratch (a compiled hom search over the state's atoms
+	// that mention a null) because the parent state's homomorphism into the
+	// universal solution did not extend over the state's new atoms.
+	EnumUnivFallbacks = register("enum_univ_fallbacks")
 	// GoroutinesSpawned counts workers launched by the parallel evaluation
 	// paths (ForEachRep fan-out, Enumerate spawn-or-inline, Incomparable).
 	GoroutinesSpawned = register("goroutines_spawned")

@@ -550,7 +550,7 @@ func (s *Server) handleEnum(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	cwa.SortBySize(sols)
+	cwa.SortEnumeratedBySize(sols)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)

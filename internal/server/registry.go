@@ -203,8 +203,9 @@ type registry struct {
 	moved func(id string) string
 
 	mu        sync.Mutex
-	byContent map[string]string // contentID -> scenario ID
-	loads     map[string]*load  // in-flight rehydrations, single-flighted
+	byContent map[string]string       // contentID -> scenario ID
+	loads     map[string]*load        // in-flight rehydrations, single-flighted
+	reserved  map[string]*reservation // names of in-flight registrations
 	nextID    int
 }
 
@@ -216,6 +217,7 @@ func newRegistry(maxScenarios, maxResults int, st *store.Store) *registry {
 		store:     st,
 		byContent: make(map[string]string),
 		loads:     make(map[string]*load),
+		reserved:  make(map[string]*reservation),
 	}
 	// Every path a scenario leaves by — capacity eviction, DELETE, removeIf —
 	// runs this hook. A store-backed scenario that is still cataloged is only
@@ -315,6 +317,11 @@ func (r *registry) register(name, settingText, sourceText string, opt chase.Opti
 	if err != nil {
 		return nil, false, err
 	}
+	conflict := func() error {
+		return status.WithKind(
+			fmt.Errorf("scenario %q already registered with different content; DELETE it first", name),
+			status.Usage)
+	}
 
 	r.mu.Lock()
 	if id, ok := r.byContent[contentID]; ok && (name == "" || name == id) {
@@ -338,14 +345,24 @@ func (r *registry) register(name, settingText, sourceText string, opt chase.Opti
 		name = fmt.Sprintf("s%d", r.nextID)
 	} else if v, ok := r.scenarios.get(name); ok {
 		existing := v.(*scenario)
+		r.mu.Unlock()
 		if existing.contentID == contentID && !existing.mutated() {
-			r.mu.Unlock()
 			return existing, true, nil
 		}
+		return nil, false, conflict()
+	} else if res, ok := r.reserved[name]; ok {
+		// Another registration holds the name until its scenario is
+		// resident. Same content shares its outcome; anything else is a
+		// conflict, exactly as if it were resident.
 		r.mu.Unlock()
-		return nil, false, status.WithKind(
-			fmt.Errorf("scenario %q already registered with different content; DELETE it first", name),
-			status.Usage)
+		if res.contentID != contentID {
+			return nil, false, conflict()
+		}
+		<-res.done
+		if res.err != nil {
+			return nil, false, res.err
+		}
+		return res.sc, true, nil
 	} else if r.store != nil && r.store.Has(name) {
 		// The name is cataloged but not resident. Same pristine content
 		// reuses it (rehydrated); anything else is a conflict, exactly as if
@@ -358,12 +375,33 @@ func (r *registry) register(name, settingText, sourceText string, opt chase.Opti
 		if existing.contentID == contentID && !existing.mutated() {
 			return existing, true, nil
 		}
-		return nil, false, status.WithKind(
-			fmt.Errorf("scenario %q already registered with different content; DELETE it first", name),
-			status.Usage)
+		return nil, false, conflict()
 	}
+	// Reserve the name until the scenario is resident, so a racing
+	// registration of it cannot build, journal and put a second scenario.
+	res := &reservation{contentID: contentID, load: load{done: make(chan struct{})}}
+	r.reserved[name] = res
 	r.mu.Unlock()
+	res.sc, res.err = r.build(name, contentID, rawHash, shared, settingText, src, opt)
+	r.mu.Lock()
+	delete(r.reserved, name)
+	r.mu.Unlock()
+	close(res.done)
+	return res.sc, false, res.err
+}
 
+// reservation holds a name from register's check that it is free until the
+// scenario is resident or the registration failed. A registration of that
+// name with other content meanwhile is refused; one with the same content
+// waits for done and shares the outcome (sc, err).
+type reservation struct {
+	contentID string
+	load
+}
+
+// build makes a registered scenario resident: it builds the engine, journals
+// the registration (with a store) and puts the scenario.
+func (r *registry) build(name, contentID string, rawHash [32]byte, shared *sharedSetting, settingText string, src *instance.Instance, opt chase.Options) (*scenario, error) {
 	// The engine chases weakly acyclic settings here, whose chase is
 	// guaranteed to terminate (Proposition 6.6); anything else — including
 	// Turing-complete settings like D_halt — is chased by requests, which
@@ -382,7 +420,7 @@ func (r *registry) register(name, settingText, sourceText string, opt chase.Opti
 	if r.store != nil {
 		if err := r.store.Register(sc.persistState()); err != nil {
 			r.discard(sc)
-			return nil, false, status.WithKind(fmt.Errorf("journaling registration: %w", err), status.Internal)
+			return nil, status.WithKind(fmt.Errorf("journaling registration: %w", err), status.Internal)
 		}
 	}
 
@@ -390,7 +428,7 @@ func (r *registry) register(name, settingText, sourceText string, opt chase.Opti
 	r.byContent[contentID] = name
 	r.mu.Unlock()
 	r.putScenario(sc)
-	return sc, false, nil
+	return sc, nil
 }
 
 // lookup returns the named scenario, refreshing its LRU position. With a

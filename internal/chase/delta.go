@@ -91,10 +91,13 @@ func deltaAtomEnvs(d *dependency.TGD, cur *instance.Instance, st *deltaState, da
 // cur. Atoms of relations not mentioned in the body (e.g. source atoms in
 // the interval when d is a target tgd) unify with nothing and are skipped.
 // The env passed to f is reused — copy what you keep. f must not mutate cur.
-func DeltaBodyEnvsKeyedBetween(d *dependency.TGD, cur *instance.Instance, from, to instance.Mark, f func(env []instance.Value, key string) bool) {
+// buf is the caller's scratch for the delta atoms' arguments, as for
+// instance.EachAddedBetween: with capacity for every arity, the sweep
+// allocates none.
+func DeltaBodyEnvsKeyedBetween(d *dependency.TGD, cur *instance.Instance, from, to instance.Mark, buf []instance.Value, f func(env []instance.Value, key string) bool) {
 	mustConjunctive(d)
 	var st deltaState
-	cur.EachAddedBetween(from, to, func(da instance.Atom) bool {
+	cur.EachAddedBetween(from, to, buf, func(da instance.Atom) bool {
 		return deltaAtomEnvs(d, cur, &st, da, f)
 	})
 }

@@ -57,6 +57,9 @@ type Resumable struct {
 	// delta join, awaiting their first tgd pass. A full scan subsumes and
 	// clears them (Extend also appends them to the stCache).
 	pendingST map[*dependency.TGD][][]instance.Value
+	// args is the delta sweeps' scratch for atom arguments (see
+	// DeltaBodyEnvsKeyedBetween); a wider atom gets a slice of its own.
+	args [8]instance.Value
 }
 
 // NewResumable chases src to a fixpoint and returns the live chase state.
@@ -342,7 +345,7 @@ func (r *Resumable) tgdPass(opt Options, start int) bool {
 		case fullScan:
 			d.BodyPlan().Eval(r.cur, nil, collect)
 		default:
-			DeltaBodyEnvsKeyedBetween(d, r.cur, from, to, func(env []instance.Value, _ string) bool {
+			DeltaBodyEnvsKeyedBetween(d, r.cur, from, to, r.args[:0], func(env []instance.Value, _ string) bool {
 				return collect(env)
 			})
 		}

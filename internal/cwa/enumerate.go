@@ -1,10 +1,12 @@
 package cwa
 
 import (
+	"encoding/binary"
 	"errors"
 	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -207,7 +209,7 @@ func (e *enumerator) run() ([]*instance.Instance, error) {
 	sort.Slice(e.found, func(i, j int) bool { return e.found[i].key < e.found[j].key })
 	out := make([]*instance.Instance, len(e.found))
 	for i, f := range e.found {
-		out[i] = f.t
+		out[i] = instance.FromAtoms(f.atoms...)
 	}
 	if e.opt.Stats != nil {
 		*e.opt.Stats = EnumStats{
@@ -227,10 +229,20 @@ func (e *enumerator) run() ([]*instance.Instance, error) {
 	return out, nil
 }
 
-// foundSol pairs a canonical-form solution with its sort/dedup key.
+// foundSol is one isomorphism class of solutions: its representative's
+// atoms in canonical null form, the order hom.CanonicalNullForm would list
+// them in, with the display key that orders and picks representatives and
+// the atom count of each relation.
 type foundSol struct {
-	t   *instance.Instance
-	key string
+	atoms []instance.Atom
+	key   string
+	shape []relShape
+}
+
+// relShape is one nonempty relation of a state, its atom count and arity.
+type relShape struct {
+	name     string
+	n, arity int
 }
 
 // stMatch is one precomputed s-t body match: a BodyPlan slot environment for
@@ -287,12 +299,12 @@ type enumerator struct {
 
 	mu    sync.Mutex
 	found []*foundSol
-	// seen memoizes emitted target reducts by exact content
-	// (instance.ContentKey): distinct chase branches frequently complete in
-	// the very same instance, and a repeat can change neither the
-	// isomorphism classes nor their representatives, so its canonical-form
-	// and isomorphism work is skipped. The walked instance is rolled back
-	// after emit, so emit stores a fresh canonical copy, never the instance.
+	// seen holds the dedup key of every state emitted (see canon.pass):
+	// distinct chase branches frequently complete in the same instance up
+	// to null names, and a repeat can change neither the isomorphism
+	// classes nor their representatives, so it is skipped after the key.
+	// The walked instance is rolled back after emit, so a class keeps a copy
+	// of its representative's rows, never the instance.
 	seen map[string]struct{}
 }
 
@@ -319,6 +331,10 @@ type walker struct {
 	// null, and their arguments.
 	delta []instance.Atom
 	args  []instance.Value
+	// addBuf holds the arguments of the delta atoms that the closure and
+	// universality sweep (instance.EachAddedBetween).
+	addBuf [8]instance.Value
+	canon  canon
 }
 
 // descend explores the child state that resolves the justification key
@@ -419,37 +435,134 @@ func headAtomsFO(d *dependency.TGD, env query.Binding, w []instance.Value) []ins
 	return chase.HeadAtoms(d, full)
 }
 
-// emit records a complete state's target reduct, deduplicating up to
-// isomorphism. Each isomorphism class keeps the lexicographically least
-// canonical form seen, so the final (sorted) output does not depend on
-// discovery order and hence not on the worker count. The canonical key and
-// the isomorphism checks read the walked instance t directly (both are
-// invariant under renaming nulls); the canonical instance is built only for
-// a state that becomes a class's representative.
-func (e *enumerator) emit(t *instance.Instance) {
-	ck := t.ContentKey()
+// canon is emit's scratch, kept by a walker across the states it completes.
+type canon struct {
+	ren   []instance.Value // null label → its canonical name, or unmapped
+	vals  []instance.Value // the renamed rows, one relation after another
+	shape []relShape
+	order []int32 // one relation's row offsets into vals, sorted
+	key   []byte
+}
+
+// pass renames the nulls of t, whose labels are below nextNull, in one pass
+// over its live rows in relation-name order then row order, each null by
+// its first occurrence: the renaming of hom.CanonicalNullForm, which lists
+// its atoms in the same order. It leaves the renamed rows in vals, the
+// relations' atom counts in shape, and in key a dedup key that equals
+// another state's iff their renamed atom sets are equal: each relation's
+// name, atom count and arity, then the fixed-width encodings of its
+// renamed rows, the rows sorted. Constants and nulls encode apart, so a
+// constant named like a null cannot collide with one.
+func (c *canon) pass(t *instance.Instance, nextNull int64) {
+	c.ren = c.ren[:0]
+	for l := int64(0); l < nextNull; l++ {
+		c.ren = append(c.ren, unmapped)
+	}
+	c.vals, c.shape, c.key = c.vals[:0], c.shape[:0], c.key[:0]
+	next := int64(0)
+	t.EachRelation(func(r instance.Rel) {
+		start, cols := len(c.vals), r.Cols()
+		for row, n := int32(0), r.Rows(); row < n; row++ {
+			if r.HasDead() && !r.Alive(row) {
+				continue
+			}
+			for _, col := range cols {
+				v := col[row]
+				if v.IsNull() {
+					l := v.NullLabel()
+					if c.ren[l] == unmapped {
+						c.ren[l] = instance.Null(next)
+						next++
+					}
+					v = c.ren[l]
+				}
+				c.vals = append(c.vals, v)
+			}
+		}
+		w := len(cols)
+		c.shape = append(c.shape, relShape{name: r.Name(), n: r.Len(), arity: w})
+		c.key = append(c.key, r.Name()...)
+		c.key = append(c.key, 0)
+		c.key = binary.LittleEndian.AppendUint32(c.key, uint32(r.Len()))
+		c.key = binary.LittleEndian.AppendUint32(c.key, uint32(w))
+		if w == 0 {
+			return
+		}
+		c.order = c.order[:0]
+		for off := start; off < len(c.vals); off += w {
+			c.order = append(c.order, int32(off))
+		}
+		vals := c.vals
+		slices.SortFunc(c.order, func(a, b int32) int {
+			return slices.Compare(vals[a:a+int32(w)], vals[b:b+int32(w)])
+		})
+		for _, off := range c.order {
+			for _, v := range vals[off : off+int32(w)] {
+				c.key = binary.LittleEndian.AppendUint64(c.key, uint64(v))
+			}
+		}
+	})
+}
+
+// atoms returns a copy of the renamed rows of the last pass as atoms, in
+// pass order, their arguments carved from one backing array.
+func (c *canon) atoms() []instance.Atom {
+	n := 0
+	for _, sh := range c.shape {
+		n += sh.n
+	}
+	flat := slices.Clone(c.vals)
+	out := make([]instance.Atom, 0, n)
+	off := 0
+	for _, sh := range c.shape {
+		for i := 0; i < sh.n; i++ {
+			out = append(out, instance.Atom{Rel: sh.name, Args: flat[off : off+sh.arity : off+sh.arity]})
+			off += sh.arity
+		}
+	}
+	return out
+}
+
+// emit records a complete state — the walker's instance, whose nulls are
+// _0 … _(nextNull−1) — deduplicating up to isomorphism. Each isomorphism
+// class keeps the least display key seen (hom.CanonicalNullString of its
+// representative), so the final (sorted) output does not depend on
+// discovery order and hence not on the worker count. One pass over the
+// state's rows (canon.pass) yields the dedup key, and a state whose key
+// was emitted before stops there. Only a new key renders the display key
+// and copies the renamed rows; the isomorphism test compiles a class's
+// rows and searches for an injective homomorphism into the walked state,
+// only for classes with the state's atom count per relation (which makes
+// an injective homomorphism an isomorphism).
+func (e *enumerator) emit(wk *walker, nextNull int64) {
+	c := &wk.canon
+	c.pass(wk.cur, nextNull)
 	e.mu.Lock()
-	if _, dup := e.seen[ck]; dup {
+	if _, dup := e.seen[string(c.key)]; dup {
 		e.mu.Unlock()
 		return
 	}
 	if e.seen == nil {
 		e.seen = make(map[string]struct{})
 	}
-	e.seen[ck] = struct{}{}
+	e.seen[string(c.key)] = struct{}{}
 	e.mu.Unlock()
-	key := hom.CanonicalNullString(t)
+	atoms := c.atoms()
+	key := instance.AtomSetString(atoms)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, prev := range e.found {
-		if hom.Isomorphic(prev.t, t) {
+		if !slices.Equal(prev.shape, c.shape) {
+			continue
+		}
+		if _, iso := hom.CompileAtoms(prev.atoms).Find(wk.cur, hom.Injective()); iso {
 			if key < prev.key {
-				prev.t, prev.key = hom.CanonicalNullForm(t), key
+				prev.atoms, prev.key = atoms, key
 			}
 			return
 		}
 	}
-	e.found = append(e.found, &foundSol{t: hom.CanonicalNullForm(t), key: key})
+	e.found = append(e.found, &foundSol{atoms: atoms, key: key, shape: slices.Clone(c.shape)})
 	if e.opt.MaxSolutions > 0 && len(e.found) >= e.opt.MaxSolutions {
 		e.truncated.Store(true)
 	}
@@ -477,7 +590,7 @@ func (e *enumerator) universality(wk *walker, h []instance.Value, mBase instance
 	cur, u := wk.cur, e.universal
 	wk.delta, wk.args = wk.delta[:0], wk.args[:0]
 	absent := false
-	cur.EachAddedBetween(mBase, cur.Mark(), func(a instance.Atom) bool {
+	cur.EachAddedBetween(mBase, cur.Mark(), wk.addBuf[:0], func(a instance.Atom) bool {
 		if !hasNull(a.Args) {
 			absent = !u.Has(a)
 			return !absent
@@ -750,7 +863,7 @@ func (e *enumerator) walk(wk *walker, nextNull int64, inherited []openMatch, fir
 			if _, ok := e.stMatches[d]; ok {
 				continue
 			}
-			chase.DeltaBodyEnvsKeyedBetween(d, cur, mStart, mEnd, func(env []instance.Value, key string) bool {
+			chase.DeltaBodyEnvsKeyedBetween(d, cur, mStart, mEnd, wk.addBuf[:0], func(env []instance.Value, key string) bool {
 				if _, seen := wk.keys[key]; seen {
 					return true
 				}
@@ -809,7 +922,7 @@ func (e *enumerator) walk(wk *walker, nextNull int64, inherited []openMatch, fir
 	if first == nil {
 		// Complete: every justification resolved and fired; cur is the
 		// target of a successful α-chase. Universality already held above.
-		e.emit(cur)
+		e.emit(wk, nextNull)
 		return
 	}
 

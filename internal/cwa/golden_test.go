@@ -13,6 +13,14 @@ import (
 	"repro/internal/parser"
 )
 
+// goldenBodiesPath holds the instance text /v1/enum streams for every golden
+// case, recorded while emit still built each representative through
+// hom.CanonicalNullForm: one worker, in SortEnumeratedBySize order, each
+// solution rendered by parser.FormatInstance and closed by a "--" line. It
+// pins, beyond the sorted String() of goldenPath, the row order of every
+// solution the enumeration builds.
+const goldenBodiesPath = "testdata/enum_bodies_golden.txt"
+
 // goldenPath holds the canonical solution strings Enumerate returned for
 // goldenCases before the witness candidates were filtered against the
 // universal solution. The filter only drops witnesses that could never
@@ -100,6 +108,26 @@ func formatGolden(t testing.TB, workers int) string {
 	return b.String()
 }
 
+// formatGoldenBodies renders what /v1/enum would stream on every golden case
+// (see goldenBodiesPath).
+func formatGoldenBodies(t testing.TB) string {
+	t.Helper()
+	var b strings.Builder
+	for _, c := range goldenCases(t) {
+		sols, err := Enumerate(c.s, c.src, EnumOptions{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		SortEnumeratedBySize(sols)
+		fmt.Fprintf(&b, "== %s: %d\n", c.name, len(sols))
+		for _, sol := range sols {
+			b.WriteString(parser.FormatInstance(sol))
+			b.WriteString("--\n")
+		}
+	}
+	return b.String()
+}
+
 func TestEnumerateGolden(t *testing.T) {
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
@@ -118,6 +146,26 @@ func TestEnumerateGolden(t *testing.T) {
 		}
 		t.Fatalf("workers=%d: %d lines, %s has %d", workers, len(gl), goldenPath, len(wl))
 	}
+}
+
+// The bytes /v1/enum streams, row order included, are the ones recorded in
+// goldenBodiesPath.
+func TestEnumerateBodiesGolden(t *testing.T) {
+	want, err := os.ReadFile(goldenBodiesPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := formatGoldenBodies(t)
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("line %d differs from %s:\ngot  %s\nwant %s", i+1, goldenBodiesPath, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%d lines, %s has %d", len(gl), goldenBodiesPath, len(wl))
 }
 
 // On every golden case, the stable size sort of Enumerate's output (which

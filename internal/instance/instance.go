@@ -1,8 +1,12 @@
 package instance
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -109,13 +113,165 @@ func (r *relation) appendRow(buf []byte, row int32) []byte {
 // New returns an empty instance.
 func New() *Instance { return &Instance{rels: make(map[string]*relation)} }
 
-// FromAtoms returns an instance containing exactly the given atoms.
+// FromAtoms returns an instance containing exactly the given atoms (a
+// repeated atom counts once), built in bulk: it equals the instance that
+// adding the atoms one by one to New() builds, relation order, row order,
+// posting lists, insertion log and version included, so later mutations
+// and marks behave on it as on that one. The storage is sized once rather
+// than grown per atom: every column, posting list and presence bitmap is a
+// capacity-limited window of one shared backing array (an append past a
+// window reallocates, as after Clone), and the tuple keys are substrings of
+// one string. The atoms' argument slices are not retained.
 func FromAtoms(atoms ...Atom) *Instance {
-	ins := New()
-	for _, a := range atoms {
-		ins.Add(a)
+	if len(atoms) == 0 {
+		return New()
 	}
+	// The relations, in order of first appearance, from one backing array
+	// (runs of equal relation names bound their number), and each atom's
+	// relation id. nLive counts each relation's atoms, repeats included,
+	// until the rows are known.
+	runs := 1
+	for i := 1; i < len(atoms); i++ {
+		if atoms[i].Rel != atoms[i-1].Rel {
+			runs++
+		}
+	}
+	ins := &Instance{rels: make(map[string]*relation, runs), byID: make([]*relation, 0, runs)}
+	slab := make([]relation, runs)
+	rid := make([]int32, len(atoms))
+	var last *relation
+	nKey, nArity := 0, 0
+	for i, a := range atoms {
+		r := last
+		if r == nil || r.name != a.Rel {
+			var ok bool
+			if r, ok = ins.rels[a.Rel]; !ok {
+				r = &slab[len(ins.byID)]
+				r.name, r.arity, r.id = a.Rel, len(a.Args), int32(len(ins.byID))
+				ins.rels[a.Rel] = r
+				ins.byID = append(ins.byID, r)
+				nArity += r.arity
+			}
+			last = r
+		}
+		if r.arity != len(a.Args) {
+			panic("instance: arity clash for relation " + r.name)
+		}
+		rid[i] = r.id
+		r.nLive++
+		nKey += 8 * len(a.Args)
+	}
+	// Every tuple's fixed-width key, in one string; a repeated atom's key
+	// finds its first occurrence in byKey, and the atom is marked dropped.
+	var kb strings.Builder
+	kb.Grow(nKey)
+	var tmp [8 * 8]byte
+	for _, a := range atoms {
+		kb.Write(appendTuple(tmp[:0], a.Args))
+	}
+	keys := kb.String()
+	for _, r := range ins.byID {
+		r.byKey = make(map[string]int32, r.nLive)
+	}
+	ins.seq = make([]rowRef, 0, len(atoms))
+	off := 0
+	for i, a := range atoms {
+		r, w := ins.byID[rid[i]], 8*len(a.Args)
+		k := keys[off : off+w]
+		off += w
+		if _, dup := r.byKey[k]; dup {
+			rid[i] = -1
+			continue
+		}
+		row := int32(r.nRows)
+		r.byKey[k] = row
+		r.nRows++
+		ins.seq = append(ins.seq, rowRef{rel: r.id, row: row})
+	}
+	// Exact-size columns and bitmaps, each a window of one backing array.
+	nVals, nWords := 0, 0
+	for _, r := range ins.byID {
+		r.nLive = r.nRows
+		nVals += r.nRows * r.arity
+		nWords += (r.nRows + 63) / 64
+	}
+	vals := make([]Value, nVals)
+	words := make([]uint64, nWords)
+	colSlab := make([][]Value, nArity)
+	posSlab := make([]map[Value][]int32, nArity)
+	for _, r := range ins.byID {
+		n := r.nRows
+		r.cols, colSlab = colSlab[:r.arity:r.arity], colSlab[r.arity:]
+		r.byPos, posSlab = posSlab[:r.arity:r.arity], posSlab[r.arity:]
+		for p := range r.cols {
+			r.cols[p], vals = vals[:n:n], vals[n:]
+		}
+		nw := (n + 63) / 64
+		r.live, words = words[:nw:nw], words[nw:]
+		for row := 0; row < n; row++ {
+			r.live[row>>6] |= 1 << (uint(row) & 63)
+		}
+	}
+	j := 0
+	for i, a := range atoms {
+		if rid[i] < 0 {
+			continue
+		}
+		ref := ins.seq[j]
+		j++
+		cols := ins.byID[ref.rel].cols
+		for p, v := range a.Args {
+			cols[p][ref.row] = v
+		}
+	}
+	post := make([]int32, nVals)
+	for _, r := range ins.byID {
+		n := r.nRows
+		for p, col := range r.cols {
+			r.byPos[p] = postings(col, post[:n:n])
+			post = post[n:]
+		}
+	}
+	names := make([]string, 0, len(ins.byID))
+	for _, r := range ins.byID {
+		names = append(names, r.name)
+	}
+	slices.Sort(names)
+	ins.names = names
+	ins.version = uint64(len(ins.seq))
 	return ins
+}
+
+// postings returns the posting lists of one column: each value's rows, in
+// ascending order, as a window of rows at its exact capacity. rows must
+// have the column's length; it ends up holding the rows sorted by value,
+// then by row, so that each value's rows are one run.
+func postings(col []Value, rows []int32) map[Value][]int32 {
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	slices.SortFunc(rows, func(x, y int32) int {
+		if c := cmp.Compare(col[x], col[y]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	distinct := 0
+	for i := range rows {
+		if i == 0 || col[rows[i]] != col[rows[i-1]] {
+			distinct++
+		}
+	}
+	m := make(map[Value][]int32, distinct)
+	for i := 0; i < len(rows); {
+		j := i + 1
+		for j < len(rows) && col[rows[j]] == col[rows[i]] {
+			j++
+		}
+		m[col[rows[i]]] = rows[i:j:j]
+		i = j
+	}
+	return m
 }
 
 func (ins *Instance) rel(name string, arity int) *relation {
@@ -391,6 +547,22 @@ func (ins *Instance) Relation(name string, arity int) (Rel, bool) {
 	return Rel{r: r}, true
 }
 
+// EachRelation calls f with a handle on every nonempty relation, in sorted
+// name order.
+func (ins *Instance) EachRelation(f func(r Rel)) {
+	for _, n := range ins.names {
+		if r := ins.rels[n]; r.nLive > 0 {
+			f(Rel{r: r})
+		}
+	}
+}
+
+// Name returns the relation's name.
+func (h Rel) Name() string { return h.r.name }
+
+// Len returns the number of live rows.
+func (h Rel) Len() int { return h.r.nLive }
+
 // Rows returns the number of row slots, including dead ones: the iteration
 // bound for full scans. Callers must skip rows for which Alive is false
 // (cheap to elide when HasDead reports false).
@@ -471,20 +643,23 @@ func (ins *Instance) MarkValid(m Mark) bool {
 // (from inclusive, to exclusive), in exact insertion order — the order
 // matters downstream because chase firing order determines fresh-null
 // labels. Both marks must be valid (MarkValid) and from must not be after
-// to. The atom's Args slice is a shared scratch buffer: copy what you keep.
-// Iteration stops early if f returns false; the return value reports
-// whether the sweep ran to completion.
-func (ins *Instance) EachAddedBetween(from, to Mark, f func(a Atom) bool) bool {
+// to. The atom's Args slice is scratch, rewritten for the next atom: copy
+// what you keep. It is buf's backing array when buf's capacity covers the
+// atom's arity, and a fresh slice otherwise; a caller that sweeps
+// repeatedly holds one buffer for all its sweeps, since a buffer made here
+// would escape through f and cost an allocation per call. Iteration stops
+// early if f returns false; the return value reports whether the sweep ran
+// to completion.
+func (ins *Instance) EachAddedBetween(from, to Mark, buf []Value, f func(a Atom) bool) bool {
 	if from.seq >= to.seq {
 		return true
 	}
-	buf := make([]Value, 0, 8)
 	for _, ref := range ins.seq[from.seq:to.seq] {
 		r := ins.byID[ref.rel]
 		if !r.alive(ref.row) {
 			continue
 		}
-		args := buf
+		args := buf[:0]
 		if r.arity > cap(args) {
 			args = make([]Value, r.arity)
 		}
@@ -829,28 +1004,33 @@ func (ins *Instance) Equal(other *Instance) bool {
 
 // Map returns the image of the instance under the value mapping h;
 // values outside h are kept unchanged. The image may have fewer atoms
-// than the original if h identifies tuples.
+// than the original if h identifies tuples. It is built in bulk by
+// FromAtoms, from the image atoms in the order Atoms lists the originals.
 func (ins *Instance) Map(h map[Value]Value) *Instance {
-	out := New()
-	args := make([]Value, 0, 8)
+	n, nVals := 0, 0
+	for _, r := range ins.rels {
+		n += r.nLive
+		nVals += r.nLive * r.arity
+	}
+	atoms := make([]Atom, 0, n)
+	flat := make([]Value, 0, nVals)
 	ins.eachRel(func(r *relation) {
 		for row := int32(0); row < int32(r.nRows); row++ {
 			if !r.alive(row) {
 				continue
 			}
-			args = args[:0]
+			start := len(flat)
 			for _, col := range r.cols {
 				v := col[row]
 				if w, ok := h[v]; ok {
-					args = append(args, w)
-				} else {
-					args = append(args, v)
+					v = w
 				}
+				flat = append(flat, v)
 			}
-			out.Add(Atom{Rel: r.name, Args: args})
+			atoms = append(atoms, Atom{Rel: r.name, Args: flat[start:len(flat):len(flat)]})
 		}
 	})
-	return out
+	return FromAtoms(atoms...)
 }
 
 // ReplaceValue substitutes new for every occurrence of old, in place.
@@ -1046,12 +1226,44 @@ func Diff(a, b *Instance) (onlyA, onlyB []Atom) {
 
 // String renders the instance as a sorted, comma-separated atom list in
 // braces, e.g. {E(a,b), F(a,_0)}.
-func (ins *Instance) String() string {
-	atoms := ins.Atoms()
-	strs := make([]string, len(atoms))
+func (ins *Instance) String() string { return AtomSetString(ins.AtomsShared()) }
+
+// AtomSetString renders distinct atoms as String renders the instance that
+// holds exactly them: each atom as Atom.String does, sorted, comma-separated
+// in braces. The atoms are rendered into one buffer and their spans sorted.
+func AtomSetString(atoms []Atom) string {
+	buf := make([]byte, 0, 16*len(atoms))
+	spans := make([][2]int, len(atoms))
 	for i, a := range atoms {
-		strs[i] = a.String()
+		start := len(buf)
+		buf = append(buf, a.Rel...)
+		buf = append(buf, '(')
+		for j, v := range a.Args {
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			if v.IsNull() {
+				buf = append(buf, '_')
+				buf = strconv.AppendInt(buf, v.NullLabel(), 10)
+			} else {
+				buf = append(buf, ConstName(v)...)
+			}
+		}
+		buf = append(buf, ')')
+		spans[i] = [2]int{start, len(buf)}
 	}
-	sort.Strings(strs)
-	return "{" + strings.Join(strs, ", ") + "}"
+	slices.SortFunc(spans, func(x, y [2]int) int {
+		return bytes.Compare(buf[x[0]:x[1]], buf[y[0]:y[1]])
+	})
+	var b strings.Builder
+	b.Grow(len(buf) + 2*len(spans) + 2)
+	b.WriteByte('{')
+	for i, sp := range spans {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.Write(buf[sp[0]:sp[1]])
+	}
+	b.WriteByte('}')
+	return b.String()
 }

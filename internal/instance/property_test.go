@@ -265,6 +265,14 @@ func TestPropertyColumnarMatchesTupleModel(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			ins := New()
 			model := newTupleModel()
+			if seed%2 == 1 {
+				// Start from a bulk build.
+				atoms := randBulkAtoms(rng, consts, 40)
+				ins = FromAtoms(atoms...)
+				for _, a := range atoms {
+					model.add(a)
+				}
+			}
 			// Frozen clones: mutations of ins must never leak into them.
 			type snapshot struct {
 				ins   *Instance

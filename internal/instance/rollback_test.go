@@ -23,8 +23,9 @@ func posCounts(ins *Instance) map[string]map[Value]int {
 	return out
 }
 
-// A random add / mark / add / Rollback sequence restores the content, the
-// domain and the position indexes the instance had at the mark; clones
+// A random add / mark / add / Rollback sequence, on an instance built by
+// Add or (odd seeds) by FromAtoms, restores the content, the domain and
+// the position indexes the instance had at the mark; clones
 // taken between the mark and the rollback keep theirs while the
 // rolled-back instance re-adds atoms into the same relations.
 func TestRollbackRestoresMark(t *testing.T) {
@@ -36,6 +37,14 @@ func TestRollbackRestoresMark(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ins := New()
 		model := newTupleModel()
+		if seed%2 == 1 {
+			// Start from a bulk build.
+			atoms := randBulkAtoms(rng, consts, 30)
+			ins = FromAtoms(atoms...)
+			for _, a := range atoms {
+				model.add(a)
+			}
+		}
 		for i := 0; i < 30; i++ {
 			a := randAtom(rng, consts)
 			ins.Add(a)
@@ -110,7 +119,7 @@ func TestRollbackKeepsEarlierMarks(t *testing.T) {
 		t.Fatal("a mark at or before the rollback mark was invalidated")
 	}
 	var delta []string
-	ins.EachAddedBetween(m0, m1, func(a Atom) bool {
+	ins.EachAddedBetween(m0, m1, nil, func(a Atom) bool {
 		delta = append(delta, a.String())
 		return true
 	})

@@ -1,6 +1,11 @@
 package parser
 
 import (
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -66,5 +71,76 @@ func TestQuickFormatRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// formatInstanceAtoms is FormatInstance as it rendered before it wrote
+// from the rows: through a copy of every atom and fmt per null.
+func formatInstanceAtoms(ins *instance.Instance) string {
+	var b strings.Builder
+	for _, a := range ins.Atoms() {
+		b.WriteString(a.Rel)
+		b.WriteByte('(')
+		for i, v := range a.Args {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			if v.IsNull() {
+				fmt.Fprintf(&b, "_%d", v.NullLabel())
+			} else {
+				b.WriteString(quoteConstIfNeeded(instance.ConstName(v)))
+			}
+		}
+		b.WriteString(").\n")
+	}
+	return b.String()
+}
+
+// FormatInstance renders byte for byte what the atom-by-atom rendering
+// did: on the fixtures and on random instances over quoted, reserved,
+// numeric and null-like constants, with removals leaving dead rows behind.
+// (internal/cwa's TestEnumerateBodiesGolden pins it on the enumeration's
+// golden cases.)
+func TestFormatInstanceMatchesAtomRendering(t *testing.T) {
+	var cases []*instance.Instance
+	for _, name := range []string{"source21.dx", "hr_source.dx"} {
+		b, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins, err := ParseInstance(string(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, ins)
+	}
+	cases = append(cases, instance.New())
+	odd := []string{"a", "b9", "42", "0", "hello world", "_0", "_weird", "exists", "target-deps", "", "x-y_1", "9lives", "it's", "ünï", "-x"}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ins := instance.New()
+		var added []instance.Atom
+		for i := 0; i < 30; i++ {
+			args := make([]instance.Value, 1+rng.Intn(3))
+			for j := range args {
+				if rng.Intn(3) == 0 {
+					args[j] = instance.Null(int64(rng.Intn(12)))
+				} else {
+					args[j] = instance.Const(odd[rng.Intn(len(odd))])
+				}
+			}
+			a := instance.Atom{Rel: fmt.Sprintf("R%d", len(args)), Args: args}
+			ins.Add(a)
+			added = append(added, a)
+		}
+		for i := 0; i < 5; i++ {
+			ins.Remove(added[rng.Intn(len(added))])
+		}
+		cases = append(cases, ins)
+	}
+	for i, ins := range cases {
+		if got, want := FormatInstance(ins), formatInstanceAtoms(ins); got != want {
+			t.Fatalf("case %d: FormatInstance =\n%s\nwant\n%s", i, got, want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package parser
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/dependency"
@@ -269,25 +270,40 @@ func atomsOf(f query.Formula) ([]query.Atom, error) {
 
 // FormatInstance renders an instance in the text syntax ParseInstance
 // accepts: one atom per line, terminated by periods, in deterministic
-// order. Constants that contain characters outside the bare-identifier
-// alphabet are quoted.
+// order (Atoms' order). Constants that contain characters outside the
+// bare-identifier alphabet are quoted. The text is written straight from
+// the instance's rows into one buffer.
 func FormatInstance(ins *instance.Instance) string {
+	size := 0
+	ins.EachRelation(func(r instance.Rel) {
+		size += r.Len() * (len(r.Name()) + 4 + 8*len(r.Cols()))
+	})
 	var b strings.Builder
-	for _, a := range ins.Atoms() {
-		b.WriteString(a.Rel)
-		b.WriteByte('(')
-		for i, v := range a.Args {
-			if i > 0 {
-				b.WriteString(", ")
+	b.Grow(size)
+	var num [20]byte
+	ins.EachRelation(func(r instance.Rel) {
+		cols := r.Cols()
+		for row, n := int32(0), r.Rows(); row < n; row++ {
+			if r.HasDead() && !r.Alive(row) {
+				continue
 			}
-			if v.IsNull() {
-				fmt.Fprintf(&b, "_%d", v.NullLabel())
-			} else {
+			b.WriteString(r.Name())
+			b.WriteByte('(')
+			for i, col := range cols {
+				if i > 0 {
+					b.WriteString(", ")
+				}
+				v := col[row]
+				if v.IsNull() {
+					b.WriteByte('_')
+					b.Write(strconv.AppendInt(num[:0], v.NullLabel(), 10))
+					continue
+				}
 				b.WriteString(quoteConstIfNeeded(instance.ConstName(v)))
 			}
+			b.WriteString(").\n")
 		}
-		b.WriteString(").\n")
-	}
+	})
 	return b.String()
 }
 

@@ -303,17 +303,21 @@ func (c *Client) Enum(ctx context.Context, req api.EvalRequest, f func(api.EnumS
 		if len(line) == 0 {
 			continue
 		}
-		var sum api.EnumSummary
-		if json.Unmarshal(line, &sum) == nil && sum.Done {
-			summary = sum
-			continue
+		// One decode per line, into the fields of both line kinds: the
+		// summary is the line with done set.
+		var l struct {
+			api.EnumSolution
+			api.EnumSummary
 		}
-		var sol api.EnumSolution
-		if err := json.Unmarshal(line, &sol); err != nil {
+		if err := json.Unmarshal(line, &l); err != nil {
 			return summary, fmt.Errorf("client: bad NDJSON line %q: %w", line, err)
 		}
+		if l.Done {
+			summary = l.EnumSummary
+			continue
+		}
 		if f != nil {
-			if err := f(sol); err != nil {
+			if err := f(l.EnumSolution); err != nil {
 				return summary, err
 			}
 		}

@@ -167,8 +167,9 @@ var (
 	// StorePageIns counts scenario states loaded back from disk (boot-time
 	// rehydration and LRU page-ins alike).
 	StorePageIns = register("store_page_ins")
-	// StorePageOuts counts scenario states written to page files when the
-	// LRU evicted them from RAM.
+	// StorePageOuts counts scenario states appended to the page log when
+	// the LRU evicted them from RAM; a page-out the catalog's block already
+	// holds writes nothing and is not counted.
 	StorePageOuts = register("store_page_outs")
 )
 

@@ -554,7 +554,6 @@ func (s *Server) handleEnum(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
 	ctx := r.Context()
 	for _, sol := range sols {
 		// A disconnected client never sees further lines; stop streaming
@@ -570,12 +569,15 @@ func (s *Server) handleEnum(w http.ResponseWriter, r *http.Request) {
 			metrics.ServerStreamAborts.Inc()
 			return
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
 	}
 	if err := enc.Encode(api.EnumSummary{Done: true, Count: len(sols), Truncated: truncated}); err != nil {
 		metrics.ServerStreamAborts.Inc()
+		return
+	}
+	// Every solution was computed before the first line, so flushing per
+	// line would only split the response into more writes.
+	if flusher, ok := w.(http.Flusher); ok {
+		flusher.Flush()
 	}
 }
 

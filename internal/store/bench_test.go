@@ -194,3 +194,35 @@ func BenchmarkWALAppendRegister(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPageOut is the store half of an LRU eviction: page one of 16
+// chased genwl states out per iteration. Each iteration first toggles one
+// source atom (remove, re-add) so the state's version has moved past its
+// catalog blob and the page-out is not skipped as redundant.
+func BenchmarkPageOut(b *testing.B) {
+	const n = 16
+	s, err := Open(b.TempDir(), Options{Fsync: SyncOff})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	settingText := parser.FormatSetting(genwl.WeaklyAcyclicChain(3))
+	states := make([]*State, n)
+	for i := range states {
+		states[i] = mkGenwlState(settingText, i)
+		if err := s.Register(states[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := states[i%n]
+		a := st.Source.Atoms()[0]
+		st.Source.Remove(a)
+		st.Source.Add(a)
+		if err := s.PageOut(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

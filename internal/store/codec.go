@@ -10,7 +10,7 @@ import (
 // State is the full durable form of one scenario: everything the server
 // needs to reconstruct it without re-parsing user input or re-chasing.
 // The same block encoding carries it in WAL registration records, snapshot
-// blocks, and page files.
+// blocks, and page-log blocks.
 type State struct {
 	ID          string
 	ContentID   string

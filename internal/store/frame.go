@@ -9,11 +9,11 @@ import (
 	"os"
 )
 
-// Every record the store writes — WAL records, snapshot blocks, page files —
-// is framed identically: an 8-byte header (payload length, CRC-32C of the
-// payload, both little-endian u32) followed by the payload. The frame is the
-// unit of integrity: a torn write fails the length or CRC check, never
-// yields a partial payload.
+// Every record the store writes — WAL records, snapshot blocks, page-log
+// blocks — is framed identically: an 8-byte header (payload length, CRC-32C
+// of the payload, both little-endian u32) followed by the payload. The
+// frame is the unit of integrity: a torn write fails the length or CRC
+// check, never yields a partial payload.
 
 const (
 	frameHeaderLen = 8
@@ -40,6 +40,16 @@ func appendFrame(buf, payload []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
 	return append(buf, payload...)
+}
+
+// sealFrame fills in the header that frame[:frameHeaderLen] reserves for
+// the payload after it, so a payload encoded in place behind a reserved
+// header is framed without a copy.
+func sealFrame(frame []byte) []byte {
+	payload := frame[frameHeaderLen:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
+	return frame
 }
 
 // frameScanner streams frames off a file, tracking offsets so callers can

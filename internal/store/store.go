@@ -10,10 +10,14 @@
 //
 // On disk a store directory holds numbered WAL segments (wal-N.log),
 // at most a few snapshots (snap-N.snap, where N is the first WAL segment
-// the snapshot does NOT cover), and a pages/ directory of per-scenario
-// page files. Every record in every file is CRC-framed. Snapshots are
-// written to a temp file and renamed; after a snapshot at segment N is
-// durable, segments below N and older snapshots are deleted (compaction).
+// the snapshot does NOT cover), and a pages/ directory holding one
+// append-only page log (page-N.log) that page-outs append full states to.
+// Every record in every file is CRC-framed. Snapshots are written to a
+// temp file and renamed; after a snapshot at segment N is durable,
+// segments below N and older snapshots are deleted (compaction), and the
+// page log, started afresh as page-N.log when the snapshot rotated the
+// WAL, replaces its predecessors. Between snapshots the page log grows by
+// one block per page-out, as the WAL grows by one record per mutation.
 //
 // The in-RAM catalog is deliberately small — per scenario: identity
 // metadata, the acknowledged version, the disk location of the latest full
@@ -23,13 +27,10 @@
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,7 +52,7 @@ type Options struct {
 }
 
 // ref locates one CRC-framed record on disk. WAL frames carry a leading
-// record-type byte before the block; snapshot and page frames are bare
+// record-type byte before the block; snapshot and page-log frames are bare
 // blocks.
 type ref struct {
 	path string
@@ -62,15 +63,25 @@ type ref struct {
 // entry is the catalog's in-RAM knowledge of one scenario. version is the
 // acknowledged source version; blob+pending reconstruct it: the block at
 // blob holds the state at blobVersion, and pending lists every
-// acknowledged batch after it in order.
+// acknowledged batch after it in order. blobFixpoint records whether that
+// block carries a fixpoint.
 type entry struct {
-	id          string
-	contentID   string
-	initVersion uint64
-	version     uint64
-	blobVersion uint64
-	blob        ref
-	pending     []MutBatch
+	id           string
+	contentID    string
+	initVersion  uint64
+	version      uint64
+	blobVersion  uint64
+	blobFixpoint bool
+	blob         ref
+	pending      []MutBatch
+}
+
+// holds reports whether the entry's blob makes paging st out redundant:
+// the blob is newer than st, or of st's version with a fixpoint whenever
+// st has one.
+func (e *entry) holds(st *State) bool {
+	v := st.Version()
+	return v < e.blobVersion || v == e.blobVersion && (e.blobFixpoint || st.Fixpoint == nil)
 }
 
 // Meta is the catalog metadata the server can read without touching disk.
@@ -100,9 +111,10 @@ type Store struct {
 	dir  string
 	opts Options
 
-	mu  sync.Mutex
-	w   *wal
-	cat map[string]*entry
+	mu    sync.Mutex
+	w     *wal
+	pages *pageLog // nil once closed
+	cat   map[string]*entry
 
 	// snapMu serializes snapshots (writing, ref rewriting, compaction).
 	snapMu sync.Mutex
@@ -120,9 +132,12 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 64 << 20
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "pages"), 0o755); err != nil {
+	if err := os.MkdirAll(pagesDir(dir), 0o755); err != nil {
 		return nil, err
 	}
+	// Recovery never reads page logs, so every one is stale, as are the
+	// per-scenario page files earlier builds wrote.
+	removePageFiles(dir, "")
 	// A crash can leave a half-written snapshot temp file; it was never
 	// renamed, so it was never authoritative.
 	tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
@@ -168,6 +183,10 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.w = w
+	if s.pages, err = openPageLog(dir, seg); err != nil {
+		w.close()
+		return nil, err
+	}
 
 	// Compaction debris: a crash between snapshot rename and cleanup
 	// leaves covered segments and older snapshots behind.
@@ -182,19 +201,19 @@ func Open(dir string, opts Options) (*Store, error) {
 			os.Remove(p)
 		}
 	}
-	s.cleanOrphanPages()
 	return s, nil
 }
 
 func entryFromMeta(m blockMeta, pending []MutBatch, r ref) *entry {
 	e := &entry{
-		id:          m.ID,
-		contentID:   m.ContentID,
-		initVersion: m.InitVersion,
-		version:     m.Version,
-		blobVersion: m.Version,
-		blob:        r,
-		pending:     pending,
+		id:           m.ID,
+		contentID:    m.ContentID,
+		initVersion:  m.InitVersion,
+		version:      m.Version,
+		blobVersion:  m.Version,
+		blobFixpoint: m.Flags&flagFixpoint != 0,
+		blob:         r,
+		pending:      pending,
 	}
 	for _, b := range pending {
 		if b.EndVersion > e.version {
@@ -257,12 +276,13 @@ func (s *Store) Register(st *State) error {
 		return err
 	}
 	s.cat[st.ID] = &entry{
-		id:          st.ID,
-		contentID:   st.ContentID,
-		initVersion: st.InitVersion,
-		version:     st.Version(),
-		blobVersion: st.Version(),
-		blob:        r,
+		id:           st.ID,
+		contentID:    st.ContentID,
+		initVersion:  st.InitVersion,
+		version:      st.Version(),
+		blobVersion:  st.Version(),
+		blobFixpoint: st.Fixpoint != nil,
+		blob:         r,
 	}
 	s.mu.Unlock()
 	return s.w.commit(end)
@@ -300,43 +320,43 @@ func (s *Store) Drop(id string) error {
 	}
 	delete(s.cat, id)
 	s.mu.Unlock()
-	if err := s.w.commit(end); err != nil {
-		return err
-	}
-	os.Remove(s.pagePath(id))
-	return nil
+	return s.w.commit(end)
 }
 
-// PageOut writes a scenario's full state (fixpoint included) to its page
-// file and points the catalog at it, so a later Load skips the re-chase.
-// Page files are a cache, not a durability mechanism: they are not fsynced
-// and recovery never reads them — the WAL/snapshot chain alone carries the
-// acknowledged state.
+// PageOut appends a scenario's full state (fixpoint included) to the page
+// log and points the catalog at it, so a later Load skips the re-chase.
+// It writes nothing when the catalog's blob already holds the state (a
+// scenario paged in and out again unmutated). The page log is a cache, not
+// a durability mechanism: it is not fsynced and recovery never reads it —
+// the WAL/snapshot chain alone carries the acknowledged state.
 func (s *Store) PageOut(st *State) error {
-	block := encodeBlock(nil, st, nil)
-	path := s.pagePath(st.ID)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, appendFrame(nil, block), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	e := s.cat[st.ID]
-	if e == nil {
-		// Dropped while paging out; the page file is orphaned but harmless
-		// (Drop already tried to remove it — remove again to be tidy).
-		os.Remove(path)
+	redundant := e == nil || e.holds(st)
+	s.mu.Unlock()
+	if redundant {
 		return nil
 	}
-	if st.Version() < e.blobVersion {
-		return nil // a fresher blob already exists; keep it
+	frame := sealFrame(encodeBlock(make([]byte, frameHeaderLen, 1<<10), st, nil))
+	// The append and the ref update share one critical section: a snapshot
+	// rotates the page log under the same lock, so the ref always points
+	// into a log that the snapshot either copies from before deleting it
+	// or keeps.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pages == nil {
+		return fmt.Errorf("store: closed")
 	}
-	e.blob = ref{path: path, off: 0}
+	if s.cat[st.ID] != e || e.holds(st) {
+		return nil // dropped, replaced or given a fresher blob meanwhile
+	}
+	off, err := s.pages.append(frame)
+	if err != nil {
+		return err
+	}
+	e.blob = ref{path: s.pages.path, off: off}
 	e.blobVersion = st.Version()
+	e.blobFixpoint = st.Fixpoint != nil
 	e.pending = pendingAfter(e.pending, e.blobVersion)
 	metrics.StorePageOuts.Inc()
 	return nil
@@ -357,11 +377,34 @@ func pendingAfter(pending []MutBatch, version uint64) []MutBatch {
 // When batches had to be folded in, the block's fixpoint no longer matches
 // the source and is dropped — the caller re-chases.
 func (s *Store) Load(id string) (*State, error) {
+	for {
+		st, blob, err := s.load(id)
+		if err == nil || blob == (ref{}) {
+			return st, err
+		}
+		// The file is read after the catalog lock is released, so a
+		// snapshot that completes in between may have deleted it — after
+		// pointing the catalog at its own copy of the block. Read again
+		// while the ref keeps moving: each retry follows a snapshot or
+		// page-out that completed during the previous attempt.
+		s.mu.Lock()
+		e := s.cat[id]
+		moved := e != nil && e.blob != blob
+		s.mu.Unlock()
+		if !moved {
+			return nil, err
+		}
+	}
+}
+
+// load is one attempt of Load. It returns the ref it read from, the zero
+// ref when the scenario is not cataloged.
+func (s *Store) load(id string) (*State, ref, error) {
 	s.mu.Lock()
 	e := s.cat[id]
 	if e == nil {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("store: unknown scenario %q", id)
+		return nil, ref{}, fmt.Errorf("store: unknown scenario %q", id)
 	}
 	blob := e.blob
 	want := e.version
@@ -370,20 +413,20 @@ func (s *Store) Load(id string) (*State, error) {
 
 	payload, err := readFrameAt(blob.path, blob.off)
 	if err != nil {
-		return nil, fmt.Errorf("store: loading %q: %w", id, err)
+		return nil, blob, fmt.Errorf("store: loading %q: %w", id, err)
 	}
 	if blob.wal {
 		if len(payload) == 0 || payload[0] != recRegister {
-			return nil, fmt.Errorf("store: loading %q: not a registration record", id)
+			return nil, blob, fmt.Errorf("store: loading %q: not a registration record", id)
 		}
 		payload = payload[1:]
 	}
 	st, _, err := decodeBlock(payload)
 	if err != nil {
-		return nil, fmt.Errorf("store: loading %q: %w", id, err)
+		return nil, blob, fmt.Errorf("store: loading %q: %w", id, err)
 	}
 	if st.ID != id {
-		return nil, fmt.Errorf("store: loading %q: block belongs to %q", id, st.ID)
+		return nil, blob, fmt.Errorf("store: loading %q: block belongs to %q", id, st.ID)
 	}
 	folded := false
 	for _, b := range pending {
@@ -403,10 +446,10 @@ func (s *Store) Load(id string) (*State, error) {
 		st.Fixpoint, st.Steps = nil, 0
 	}
 	if st.Version() != want {
-		return nil, fmt.Errorf("store: scenario %q recovered to version %d, want %d", id, st.Version(), want)
+		return nil, blob, fmt.Errorf("store: scenario %q recovered to version %d, want %d", id, st.Version(), want)
 	}
 	metrics.StorePageIns.Inc()
-	return st, nil
+	return st, blob, nil
 }
 
 // Snapshot writes a full-catalog snapshot and compacts the WAL behind it.
@@ -417,7 +460,9 @@ func (s *Store) Load(id string) (*State, error) {
 //
 // Concurrent appends are safe: the WAL is rotated first, so everything
 // acknowledged after the capture point lands in segments the snapshot does
-// not claim to cover, and replay against the snapshot is idempotent.
+// not claim to cover, and replay against the snapshot is idempotent. The
+// page log is rotated with it, so page-outs after the capture point land in
+// a log the snapshot keeps.
 func (s *Store) Snapshot(capture func(id string) *State) error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -428,6 +473,15 @@ func (s *Store) Snapshot(capture func(id string) *State) error {
 		s.mu.Unlock()
 		return err
 	}
+	pages, err := openPageLog(s.dir, newSeg)
+	if err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	// Loads read the old log by path, and nothing needs its bytes durable,
+	// so a failed close loses nothing.
+	_ = s.pages.f.Close()
+	s.pages = pages
 	type item struct {
 		id      string
 		blob    ref
@@ -449,14 +503,16 @@ func (s *Store) Snapshot(capture func(id string) *State) error {
 		was  ref
 		now  ref
 		bver uint64
+		fix  bool
 	}
 	rewrites := make([]rewrite, 0, len(items))
 	for _, it := range items {
 		var block []byte
 		var bver uint64
+		var fix bool
 		if st := capture(it.id); st != nil {
 			block = encodeBlock(nil, st, nil)
-			bver = st.Version()
+			bver, fix = st.Version(), st.Fixpoint != nil
 		} else {
 			payload, err := readFrameAt(it.blob.path, it.blob.off)
 			if err != nil {
@@ -472,14 +528,14 @@ func (s *Store) Snapshot(capture func(id string) *State) error {
 				return fmt.Errorf("store: snapshotting %q: %w", it.id, err)
 			}
 			block = splicePending(payload, m, pendingAfter(it.pending, m.Version))
-			bver = m.Version
+			bver, fix = m.Version, m.Flags&flagFixpoint != 0
 		}
 		off, err := sw.writeBlock(block)
 		if err != nil {
 			sw.abort()
 			return err
 		}
-		rewrites = append(rewrites, rewrite{id: it.id, was: it.blob, bver: bver, now: ref{off: off}})
+		rewrites = append(rewrites, rewrite{id: it.id, was: it.blob, bver: bver, fix: fix, now: ref{off: off}})
 	}
 	final, err := sw.finish()
 	if err != nil {
@@ -490,7 +546,7 @@ func (s *Store) Snapshot(capture func(id string) *State) error {
 	// Point the catalog at the new snapshot before deleting the files the
 	// old refs lived in. An entry whose blob changed mid-snapshot (a
 	// concurrent register or page-out) keeps its fresher ref — those point
-	// at files compaction does not touch.
+	// at the new WAL segment or page log, which compaction does not touch.
 	s.mu.Lock()
 	for _, rw := range rewrites {
 		e := s.cat[rw.id]
@@ -499,6 +555,7 @@ func (s *Store) Snapshot(capture func(id string) *State) error {
 		}
 		e.blob = ref{path: final, off: rw.now.off}
 		e.blobVersion = rw.bver
+		e.blobFixpoint = rw.fix
 		e.pending = pendingAfter(e.pending, rw.bver)
 	}
 	s.mu.Unlock()
@@ -515,18 +572,23 @@ func (s *Store) Snapshot(capture func(id string) *State) error {
 			os.Remove(snapshotPath(s.dir, n))
 		}
 	}
+	removePageFiles(s.dir, pages.path)
 	return nil
 }
 
 // Flush forces WAL durability regardless of sync mode (used at drain).
 func (s *Store) Flush() error { return s.w.sync() }
 
-// Close flushes and closes the WAL. The catalog stays readable (Stats,
-// Has); appends fail.
+// Close flushes and closes the WAL and closes the page log. The catalog
+// stays readable (Stats, Has, Load); appends and page-outs fail.
 func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
+	s.mu.Lock()
+	_ = s.pages.f.Close() // a cache read by path, as at rotation in Snapshot
+	s.pages = nil
+	s.mu.Unlock()
 	return s.w.close()
 }
 
@@ -580,25 +642,3 @@ func (s *Store) SetRecovering(v bool) { s.recovering.Store(v) }
 
 // Recovering reports whether boot-time rehydration is still running.
 func (s *Store) Recovering() bool { return s.recovering.Load() }
-
-func (s *Store) pagePath(id string) string {
-	sum := sha256.Sum256([]byte(id))
-	return filepath.Join(s.dir, "pages", hex.EncodeToString(sum[:12])+".page")
-}
-
-// cleanOrphanPages removes page files for scenarios no longer cataloged.
-func (s *Store) cleanOrphanPages() {
-	live := make(map[string]bool, len(s.cat))
-	for id := range s.cat {
-		live[filepath.Base(s.pagePath(id))] = true
-	}
-	ents, err := os.ReadDir(filepath.Join(s.dir, "pages"))
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		if !live[e.Name()] || strings.HasSuffix(e.Name(), ".tmp") {
-			os.Remove(filepath.Join(s.dir, "pages", e.Name()))
-		}
-	}
-}

@@ -259,6 +259,9 @@ func TestSnapshotWithCaptureFoldsFixpoint(t *testing.T) {
 	}
 }
 
+// TestPageOutLoad: a page-out's fixpoint comes back on Load; after a Drop
+// the Load fails, and after a Snapshot pages/ holds only the current page
+// log.
 func TestPageOutLoad(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Options{Fsync: SyncOff})
@@ -266,6 +269,7 @@ func TestPageOutLoad(t *testing.T) {
 	st := mkState("s1", 3)
 	mirror := st.Source.Clone()
 	s.Register(st)
+	s.Register(mkState("s2", 2))
 	applyMuts(t, s, mirror, "s1", []instance.Mutation{
 		{Insert: true, Atom: instance.NewAtom("R", instance.Const("x"), instance.Const("y"))},
 	})
@@ -291,9 +295,15 @@ func TestPageOutLoad(t *testing.T) {
 	if _, err := s.Load("s1"); err == nil {
 		t.Fatal("load after drop succeeded")
 	}
+	if err := s.Snapshot(func(string) *State { return nil }); err != nil {
+		t.Fatal(err)
+	}
 	pages, _ := os.ReadDir(filepath.Join(dir, "pages"))
-	if len(pages) != 0 {
-		t.Fatalf("page file survived drop: %v", pages)
+	if len(pages) != 1 || filepath.Join(dir, "pages", pages[0].Name()) != s.pages.path {
+		t.Fatalf("pages/ holds %v after a snapshot, want only the current page log %s", pages, s.pages.path)
+	}
+	if _, err := s.Load("s2"); err != nil {
+		t.Fatal(err)
 	}
 }
 
